@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit status: 0 for true/SAT/entailment-holds, 1 for false/UNSAT/refuted,
-2 on usage errors.  Reports are stable line-oriented text; --json switches
-to machine-readable output.
+2 on usage errors, including formulae nested too deeply to process.
+Reports are stable line-oriented text; --json switches to machine-readable
+output.
 """
 
 from __future__ import annotations
@@ -226,6 +227,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.fn(args)
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # the parser and the formula walks recurse once per nesting level
+        print("error: formula nested too deeply", file=sys.stderr)
         return 2
 
 

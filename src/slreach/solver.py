@@ -21,7 +21,7 @@ from . import syntax as S
 from .heaps import Heap, MemoryState, extensions
 from .semantics import WandPolicy, check, check_exact, sl_star_wand_bound
 from .syntax import msize, rewrite_reach
-from .testform import profile
+from .testform import profile_bits
 
 
 class FragmentError(ValueError):
@@ -173,17 +173,10 @@ class _RepCache:
         while self._pos < end:
             m = _materialize(self.q, self._descs[self._pos])
             self._pos += 1
-            key = hash_profile(profile(m, self.alpha))
+            key = profile_bits(m, self.alpha)
             if key not in self._seen:
                 self._seen.add(key)
                 self.reps.append(m)
-
-
-def hash_profile(p) -> bytes:
-    import hashlib
-
-    text = "\n".join(sorted(str(a) for a in p.satisfied))
-    return hashlib.md5(f"{p.q}|{p.alpha}|{text}".encode()).digest()
 
 
 _REP_CACHES: Dict[Tuple[int, int], _RepCache] = {}
@@ -218,38 +211,16 @@ def sat_reachplus(f: S.Formula) -> SatResult:
     for m in canonical_states(q, alpha):
         explored += 1
         if check_exact(m, f):
-            assert check_exact(m, f)
             return SatResult("sat", m, explored)
     return SatResult("unsat", None, explored)
 
 
 def shf_rewrite(f: S.Formula) -> S.Formula:
-    """The satisfaction-preserving rewrite into SL(*, reach+): exact
-    points-to is already the conjunction with size = 1; list segments become
-    the empty/loop-free reach+ disjunction."""
-
-    def go(g: S.Formula) -> S.Formula:
-        if isinstance(g, S.Ls):
-            x, y = g.x, g.y
-            return S.f_or(
-                S.And(S.Eq(x, y), S.EMP),
-                S.f_and(
-                    S.Not(S.Eq(x, y)),
-                    S.ReachPlus(x, y),
-                    S.Not(S.Star(S.Not(S.EMP), S.ReachPlus(x, y))),
-                ),
-            )
-        if isinstance(g, S.Not):
-            return S.Not(go(g.child))
-        if isinstance(g, S.And):
-            return S.And(go(g.left), go(g.right))
-        if isinstance(g, S.Star):
-            return S.Star(go(g.left), go(g.right))
-        if isinstance(g, S.Wand):
-            return S.Wand(go(g.left), go(g.right))
-        return g
-
-    return go(f)
+    """The satisfaction-preserving rewrite into SL(*, reach+), which is
+    rewrite_reach toward reach+: exact points-to is already the conjunction
+    with size = 1; list segments become the empty/loop-free reach+
+    disjunction."""
+    return rewrite_reach(f, "reachplus")
 
 
 def sat_bool_shf(f: S.Formula) -> SatResult:

@@ -5,11 +5,16 @@ reach(x,y), reach+(x,y).  Connectives: not, /\\, * and -*.  Disjunction,
 implication, iff and septraction are sugar normalized away at construction
 time, so the core AST stays small for the checker.
 
-All nodes are immutable and hashable; sharing subtrees is fine.
+Nodes are hash-consed: building a formula returns the one existing node
+that is structurally equal to it, if any, so structurally equal formulae are
+one object and ``==`` is identity.  Nodes are immutable, and the size,
+variable and wand-freeness caches on a node are shared by every formula that
+contains it.
 """
 
 from __future__ import annotations
 
+import weakref
 from enum import Enum
 from typing import FrozenSet, Sequence, Tuple
 
@@ -20,31 +25,30 @@ def _check_var(i: int) -> int:
     return i
 
 
-class Formula:
-    __slots__ = ("_hash", "_size", "_msize", "_vars", "_wandfree")
+# The live nodes, keyed by (class, *fields).  Values are weak, so a node is
+# dropped from the table once no formula or cache refers to it; a key holds
+# its child nodes, which the node itself holds anyway.  Lookup and insertion
+# are not locked: two threads building the same new node at once could each
+# get their own copy, so formulae are built from one thread.
+_NODES: "weakref.WeakValueDictionary[tuple, Formula]" = weakref.WeakValueDictionary()
 
-    def _init_caches(self):
-        self._hash = None
-        self._size = None
-        self._msize = None
-        self._vars = None
-        self._wandfree = None
+
+def _new_node(cls):
+    node = object.__new__(cls)
+    node._size = node._msize = node._vars = node._wandfree = None
+    return node
+
+
+class Formula:
+    """Base of the formula nodes.  Equality and hashing are object identity,
+    inherited from object: interning makes identity coincide with structural
+    equality.  Copying and unpickling go through the constructors
+    (__reduce__), so they return the interned node too."""
+
+    __slots__ = ("_size", "_msize", "_vars", "_wandfree", "__weakref__")
 
     def children(self) -> Tuple["Formula", ...]:
         return ()
-
-    def _key(self):
-        raise NotImplementedError
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return type(self) is type(other) and self._key() == other._key()
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((type(self).__name__, self._key()))
-        return self._hash
 
     @property
     def size(self) -> int:
@@ -74,46 +78,47 @@ class Formula:
         return f"<{to_text(self)}>"
 
 
-class Emp(Formula):
+class _Nullary(Formula):
     __slots__ = ()
 
-    def __init__(self):
-        self._init_caches()
+    def __new__(cls):
+        key = (cls,)
+        node = _NODES.get(key)
+        if node is None:
+            node = _NODES[key] = _new_node(cls)
+        return node
 
-    def _key(self):
-        return ()
+    def __reduce__(self):
+        return (type(self), ())
 
 
-class Truth(Formula):
+class Emp(_Nullary):
     __slots__ = ()
 
-    def __init__(self):
-        self._init_caches()
 
-    def _key(self):
-        return ()
-
-
-class Falsum(Formula):
+class Truth(_Nullary):
     __slots__ = ()
 
-    def __init__(self):
-        self._init_caches()
 
-    def _key(self):
-        return ()
+class Falsum(_Nullary):
+    __slots__ = ()
 
 
 class _BinAtom(Formula):
     __slots__ = ("x", "y")
 
-    def __init__(self, x: int, y: int):
-        self._init_caches()
-        self.x = _check_var(x)
-        self.y = _check_var(y)
+    def __new__(cls, x: int, y: int):
+        key = (cls, _check_var(x), _check_var(y))
+        node = _NODES.get(key)
+        if node is None:
+            node = _new_node(cls)
+            node.x = x
+            node.y = y
+            _NODES[key] = node
+        return node
 
-    def _key(self):
-        return (self.x, self.y)
+    def __reduce__(self):
+        return (type(self), (self.x, self.y))
 
     @property
     def vars(self):
@@ -145,29 +150,39 @@ class ReachPlus(_BinAtom):
 class Not(Formula):
     __slots__ = ("child",)
 
-    def __init__(self, child: Formula):
-        self._init_caches()
-        self.child = child
+    def __new__(cls, child: Formula):
+        key = (cls, child)
+        node = _NODES.get(key)
+        if node is None:
+            node = _new_node(cls)
+            node.child = child
+            _NODES[key] = node
+        return node
+
+    def __reduce__(self):
+        return (type(self), (self.child,))
 
     def children(self):
-        return (self.child,)
-
-    def _key(self):
         return (self.child,)
 
 
 class _BinOp(Formula):
     __slots__ = ("left", "right")
 
-    def __init__(self, left: Formula, right: Formula):
-        self._init_caches()
-        self.left = left
-        self.right = right
+    def __new__(cls, left: Formula, right: Formula):
+        key = (cls, left, right)
+        node = _NODES.get(key)
+        if node is None:
+            node = _new_node(cls)
+            node.left = left
+            node.right = right
+            _NODES[key] = node
+        return node
+
+    def __reduce__(self):
+        return (type(self), (self.left, self.right))
 
     def children(self):
-        return (self.left, self.right)
-
-    def _key(self):
         return (self.left, self.right)
 
 

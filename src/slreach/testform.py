@@ -13,6 +13,7 @@ it abbreviates  t ~> t'  or  sees(t,t') >= 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from . import syntax as S
@@ -63,8 +64,9 @@ def sizeothers_atom(bound: int) -> TestAtom:
     return TestAtom("sizeothers", None, None, bound)
 
 
-def atom_family(q: int, alpha: int) -> List[TestAtom]:
-    """The full atom set Test(q, alpha)."""
+@lru_cache(maxsize=None)
+def atom_family(q: int, alpha: int) -> Tuple[TestAtom, ...]:
+    """The full atom set Test(q, alpha), built once per (q, alpha)."""
     if q < 1 or alpha < 1:
         raise ValueError("q and alpha must be >= 1")
     terms = all_terms(q)
@@ -81,7 +83,7 @@ def atom_family(q: int, alpha: int) -> List[TestAtom]:
             for beta in range(1, alpha + 1):
                 atoms.append(sees_atom(t1, t2, beta + 1))
     atoms.extend(sizeothers_atom(beta) for beta in range(1, alpha + 1))
-    return atoms
+    return tuple(atoms)
 
 
 def eval_atom_on_graph(g: SupportGraph, a: TestAtom) -> bool:
@@ -125,6 +127,19 @@ def profile(m: MemoryState, alpha: int) -> LiteralProfile:
     g = build_support_graph(m)
     sat = frozenset(a for a in atom_family(m.q, alpha) if eval_atom_on_graph(g, a))
     return LiteralProfile(m.q, alpha, sat)
+
+
+def profile_bits(m: MemoryState, alpha: int) -> int:
+    """profile(m, alpha) as a bit set: bit i is set when the i-th atom of
+    atom_family(m.q, alpha) holds.  For a fixed (q, alpha) it determines the
+    profile, and it is one small int where the profile is a frozenset of up
+    to a few hundred atoms."""
+    g = build_support_graph(m)
+    bits = 0
+    for i, a in enumerate(atom_family(m.q, alpha)):
+        if eval_atom_on_graph(g, a):
+            bits |= 1 << i
+    return bits
 
 
 def profile_of_graph(g: SupportGraph, alpha: int) -> FrozenSet[TestAtom]:

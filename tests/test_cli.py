@@ -135,3 +135,9 @@ def test_usage_errors(capsys, tmp_path):
     capsys.readouterr()
     assert main(["nosuchcmd"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("formula", ["size>=3000", "not " * 3000 + "emp"])
+def test_deep_nesting_is_a_usage_error(state_file, capsys, formula):
+    assert main(["check", "-f", formula, "-m", state_file]) == 2
+    assert capsys.readouterr().err == "error: formula nested too deeply\n"

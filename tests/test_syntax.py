@@ -1,3 +1,7 @@
+import copy
+import gc
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -45,6 +49,32 @@ def test_parse_macros():
     assert parse("safe(x1,x2)") == S.safe([1, 2])
     assert parse("nextpt(x1,x2; x3)") == S.next_pointsto(1, 2, 3)
     assert parse("reacheq(x1,x2; 2)") == S.reach_eq(1, 2, 2)
+
+
+def test_equal_formulae_are_one_object():
+    text = "nextpt(x1,x2; x3) /\\ safe(x1,x2) -* size>=2"
+    assert parse(text) is parse(text)
+    assert S.Emp() is S.EMP
+    a, b = S.Eq(1, 2), S.Not(S.PointsTo(2, 1))
+    a2, b2 = parse("x1 = x2"), S.f_implies(S.TRUE, S.PointsTo(2, 1)).child.right
+    assert S.And(a, b) is S.And(a2, b2)
+    assert S.And(a, b) is parse("x1 = x2 /\\ not (x2 ~> x1)")
+    assert S.And(a, b) is not S.Star(a, b)
+    assert S.And(a, b) != S.And(b, a)
+    f = parse(text)
+    assert copy.deepcopy(f) is f and pickle.loads(pickle.dumps(f)) is f
+
+
+def test_special_form_survives_collection():
+    parse("nextpt(x1,x2; x3)")
+    gc.collect()
+    assert S.special_form(parse("nextpt(x1,x2; x3)")) == ("next_pointsto", 1, 2, 3)
+
+
+def test_bad_variable_registers_nothing():
+    with pytest.raises(ValueError):
+        S.Eq(0, 1)
+    assert (S.Eq, 0, 1) not in S._NODES
 
 
 def test_parse_errors_carry_position():

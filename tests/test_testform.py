@@ -20,6 +20,7 @@ from slreach.testform import (
     match_split,
     pointsto_atom,
     profile,
+    profile_bits,
     sees_atom,
     shrink,
     sizeothers_atom,
@@ -97,6 +98,17 @@ def test_witness_matches_profiles_randomly():
         alpha = rng.choice((1, 2, 3))
         eq = profile(m1, alpha).satisfied == profile(m2, alpha).satisfied
         assert (structure_witness(m1, m2, alpha) is not None) == eq
+
+
+def test_profile_bits_is_the_profile():
+    rng = random.Random(7)
+    states = list(all_states(2, range(4), 3))
+    for alpha in (1, 2, 3):
+        family = atom_family(2, alpha)
+        for m in rng.sample(states, 300):
+            bits = profile_bits(m, alpha)
+            assert {a for i, a in enumerate(family) if bits >> i & 1} == \
+                profile(m, alpha).satisfied
 
 
 def test_encode_atomic_emp():
