@@ -18,7 +18,7 @@ from .heaps import load_state, save_state, state_to_json
 from .parser import ParseError, parse, to_text
 from .semantics import WandPolicy, check, check_exact
 from .support import build_support_graph, dump_support_graph
-from .testform import profile, shrink, small_heap_bound
+from .testform import LiteralProfile, profile_of_graph, shrink, small_heap_bound
 
 
 def _policy(args) -> WandPolicy:
@@ -117,7 +117,7 @@ def _reframe(m, q):
 def _cmd_abstract(args) -> int:
     m = _reframe(load_state(args.state), args.q)
     g = build_support_graph(m)
-    p = profile(m, args.alpha)
+    p = LiteralProfile(m.q, args.alpha, profile_of_graph(g, args.alpha))
     lines = dump_support_graph(g).splitlines()
     lines.append(f"profile (alpha={args.alpha}):")
     lines.extend("  " + s for s in p.dump().splitlines())

@@ -65,18 +65,33 @@ def _walk(heap: dict, start: int) -> List[int]:
     return out
 
 
-def _reaches_some_var(heap: dict, loc: int, var_values) -> bool:
-    cur = loc
-    if cur in var_values:
-        return True
-    for _ in range(len(heap)):
-        nxt = heap.get(cur)
-        if nxt is None:
-            return False
-        cur = nxt
-        if cur in var_values:
-            return True
-    return False
+class _VarWalk(NamedTuple):
+    """The walk from one variable's value, read once for all its meet-points."""
+
+    path: List[int]  # _walk from the value
+    on_path: FrozenSet[int]
+    last_var: int  # the last index on path holding a variable value
+
+
+def _var_walk(heap: dict, start: int, var_values) -> _VarWalk:
+    path = _walk(heap, start)
+    last_var = max(k for k, loc in enumerate(path) if loc in var_values)
+    return _VarWalk(path, frozenset(path), last_var)
+
+
+def _meet(wi: _VarWalk, wj: _VarWalk) -> Optional[int]:
+    """m(xi,xj) from the walks of xi and xj: the first location on xi's path
+    that xj's path visits, provided it reaches some variable value.
+
+    That first location comes at or before the entry of any cycle closing
+    xi's path (a path that meets the cycle runs through all of it), so what
+    it reaches is exactly the rest of xi's path, and it reaches a variable
+    value exactly when one lies at or after it there."""
+    on_j = wj.on_path
+    for k, loc in enumerate(wi.path):
+        if loc in on_j:
+            return loc if k <= wi.last_var else None
+    return None
 
 
 def meet_point(m: MemoryState, i: int, j: int) -> Optional[int]:
@@ -84,18 +99,11 @@ def meet_point(m: MemoryState, i: int, j: int) -> Optional[int]:
     if not (1 <= i <= m.q and 1 <= j <= m.q):
         raise ValueError("variable index out of range")
     heap = m.heap.cells
-    reach_j = set(_walk(heap, m.store[j]))
-    candidate = None
-    for loc in _walk(heap, m.store[i]):
-        if loc in reach_j:
-            candidate = loc
-            break
-    if candidate is None:
-        return None
     var_values = set(m.store.values())
-    if _reaches_some_var(heap, candidate, var_values):
-        return candidate
-    return None
+    return _meet(
+        _var_walk(heap, m.store[i], var_values),
+        _var_walk(heap, m.store[j], var_values),
+    )
 
 
 def term_value(m: MemoryState, t: Term) -> Optional[int]:
@@ -114,6 +122,8 @@ class SupportGraph(NamedTuple):
     rho: FrozenSet[int]
     labels: Dict[int, FrozenSet[Term]]
     rem: FrozenSet[int]
+    # the location of every defined term; the inverse of labels
+    term_map: Dict[Term, int]
 
     def edge_pairs(self) -> FrozenSet[Tuple[int, int]]:
         return frozenset((a, b) for a, (b, _) in self.edges.items())
@@ -124,21 +134,20 @@ class SupportGraph(NamedTuple):
             raise KeyError((a, b))
         return cells
 
-    def term_map(self) -> Dict[Term, int]:
-        out = {}
-        for loc, terms in self.labels.items():
-            for t in terms:
-                out[t] = loc
-        return out
-
 
 def build_support_graph(m: MemoryState) -> SupportGraph:
     heap = m.heap.cells
+    var_values = set(m.store.values())
+    walks = {i: _var_walk(heap, v, var_values) for i, v in m.store.items()}
+    term_map: Dict[Term, int] = {var_term(i): v for i, v in m.store.items()}
+    for i, wi in walks.items():
+        for j, wj in walks.items():
+            loc = _meet(wi, wj)
+            if loc is not None:
+                term_map[meet_term(i, j)] = loc
     labels: Dict[int, set] = {}
-    for t in all_terms(m.q):
-        loc = term_value(m, t)
-        if loc is not None:
-            labels.setdefault(loc, set()).add(t)
+    for t, loc in term_map.items():
+        labels.setdefault(loc, set()).add(t)
     vertices = frozenset(labels)
     edges: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
     used_btw = set()
@@ -163,6 +172,7 @@ def build_support_graph(m: MemoryState) -> SupportGraph:
         rho=rho,
         labels={l: frozenset(ts) for l, ts in labels.items()},
         rem=rem,
+        term_map=term_map,
     )
 
 

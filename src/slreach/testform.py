@@ -86,8 +86,15 @@ def atom_family(q: int, alpha: int) -> Tuple[TestAtom, ...]:
     return tuple(atoms)
 
 
+@lru_cache(maxsize=None)
+def _atom_index(q: int, alpha: int) -> Dict[TestAtom, int]:
+    """Each atom of atom_family(q, alpha) to its position."""
+    return {a: i for i, a in enumerate(atom_family(q, alpha))}
+
+
 def eval_atom_on_graph(g: SupportGraph, a: TestAtom) -> bool:
-    tm = g.term_map()
+    """One atom on a support graph, by the atom's definition."""
+    tm = g.term_map
     if a.kind == "sizeothers":
         return len(g.rem) >= a.bound
     l1 = tm.get(a.t1)
@@ -110,6 +117,32 @@ def eval_atom(m: MemoryState, a: TestAtom) -> bool:
     return eval_atom_on_graph(build_support_graph(m), a)
 
 
+def _satisfied_atoms(g: SupportGraph, alpha: int):
+    """The atoms of atom_family(g.q, alpha) that hold on g, read off its
+    vertices, edges and rem in one pass instead of testing every atom."""
+    if alpha < 1:
+        raise ValueError("alpha must be >= 1")
+    labels = g.labels
+    for v, terms in labels.items():
+        ts = sorted(terms)
+        for k, t1 in enumerate(ts):
+            for t2 in ts[k:]:
+                yield TestAtom("eq", t1, t2)
+        if v in g.rho:
+            for t in ts:
+                yield TestAtom("alloc", t)
+    for a, (b, btw) in g.edges.items():
+        top = min(alpha, len(btw))
+        for t1 in labels[a]:
+            for t2 in labels[b]:
+                if not btw:
+                    yield TestAtom("pointsto", t1, t2)
+                for beta in range(1, top + 1):
+                    yield TestAtom("sees", t1, t2, beta + 1)
+    for beta in range(1, min(alpha, len(g.rem)) + 1):
+        yield TestAtom("sizeothers", None, None, beta)
+
+
 @dataclass(frozen=True)
 class LiteralProfile:
     q: int
@@ -122,11 +155,7 @@ class LiteralProfile:
 
 def profile(m: MemoryState, alpha: int) -> LiteralProfile:
     """The satisfied subset of Test(q, alpha)."""
-    if alpha < 1:
-        raise ValueError("alpha must be >= 1")
-    g = build_support_graph(m)
-    sat = frozenset(a for a in atom_family(m.q, alpha) if eval_atom_on_graph(g, a))
-    return LiteralProfile(m.q, alpha, sat)
+    return LiteralProfile(m.q, alpha, profile_of_graph(build_support_graph(m), alpha))
 
 
 def profile_bits(m: MemoryState, alpha: int) -> int:
@@ -134,16 +163,15 @@ def profile_bits(m: MemoryState, alpha: int) -> int:
     atom_family(m.q, alpha) holds.  For a fixed (q, alpha) it determines the
     profile, and it is one small int where the profile is a frozenset of up
     to a few hundred atoms."""
-    g = build_support_graph(m)
+    index = _atom_index(m.q, alpha)
     bits = 0
-    for i, a in enumerate(atom_family(m.q, alpha)):
-        if eval_atom_on_graph(g, a):
-            bits |= 1 << i
+    for a in _satisfied_atoms(build_support_graph(m), alpha):
+        bits |= 1 << index[a]
     return bits
 
 
 def profile_of_graph(g: SupportGraph, alpha: int) -> FrozenSet[TestAtom]:
-    return frozenset(a for a in atom_family(g.q, alpha) if eval_atom_on_graph(g, a))
+    return frozenset(_satisfied_atoms(g, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -154,14 +182,23 @@ class InternalInconsistencyError(AssertionError):
     """The profile-based and witness-based equivalence methods disagreed."""
 
 
-def structure_witness(m1: MemoryState, m2: MemoryState, alpha: int):
-    """The A1-A5 map between the two support graphs, or None.
+def structure_witness(
+    m1: MemoryState,
+    m2: MemoryState,
+    alpha: int,
+    g1: Optional[SupportGraph] = None,
+    g2: Optional[SupportGraph] = None,
+):
+    """The A1-A5 map between the two support graphs, or None.  g1 and g2,
+    when given, are the support graphs of m1 and m2, already built.
 
     The labelling forces the only possible map (distinct vertices carry
     disjoint nonempty term sets), so no search is needed: build it from the
     labels and verify the five conditions."""
-    g1 = build_support_graph(m1)
-    g2 = build_support_graph(m2)
+    if g1 is None:
+        g1 = build_support_graph(m1)
+    if g2 is None:
+        g2 = build_support_graph(m2)
     if len(g1.vertices) != len(g2.vertices):
         return None
     by_labels = {g2.labels[v]: v for v in g2.vertices}
@@ -195,8 +232,9 @@ def equivalent(m1: MemoryState, m2: MemoryState, alpha: int) -> bool:
     must agree."""
     if m1.q != m2.q:
         raise ValueError("states must share q")
-    by_profile = profile(m1, alpha).satisfied == profile(m2, alpha).satisfied
-    by_witness = structure_witness(m1, m2, alpha) is not None
+    g1, g2 = build_support_graph(m1), build_support_graph(m2)
+    by_profile = profile_of_graph(g1, alpha) == profile_of_graph(g2, alpha)
+    by_witness = structure_witness(m1, m2, alpha, g1, g2) is not None
     if by_profile != by_witness:
         raise InternalInconsistencyError(
             f"profile comparison says {by_profile}, witness search says {by_witness}"
@@ -396,11 +434,10 @@ def match_split(
     if h_a + h_b != m1.heap:
         raise SplitPreconditionError("h_a + h_b must be exactly m1's heap")
     alpha = alpha1 + alpha2
-    wit = structure_witness(m1, m2, alpha)
+    g1, g2 = build_support_graph(m1), build_support_graph(m2)
+    wit = structure_witness(m1, m2, alpha, g1, g2)
     if wit is None:
         raise SplitPreconditionError("states are not equivalent at alpha1+alpha2")
-    g1 = build_support_graph(m1)
-    g2 = build_support_graph(m2)
 
     part_of: Dict[int, int] = {}
     # C1: allocated labelled cells follow the witness map.

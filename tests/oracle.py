@@ -8,6 +8,8 @@ package's optimized evaluators beyond the data types.
 
 from itertools import combinations, product
 
+from hypothesis import strategies as st
+
 from slreach import syntax as S
 from slreach.heaps import Heap, MemoryState
 
@@ -143,3 +145,14 @@ def all_states(q, locations, max_cells):
         store = dict(zip(range(1, q + 1), store_vals))
         for h in all_heaps(locations, max_cells):
             yield MemoryState(q, store, Heap(h))
+
+
+@st.composite
+def random_states(draw, max_q=4, max_loc=11, max_cells=12):
+    """Hypothesis strategy: a state with up to max_q variables and up to
+    max_cells cells over locations 0..max_loc."""
+    q = draw(st.integers(1, max_q))
+    locs = st.integers(0, max_loc)
+    store = {i: draw(locs) for i in range(1, q + 1)}
+    heap = draw(st.dictionaries(locs, locs, max_size=max_cells))
+    return MemoryState(q, store, Heap(heap))

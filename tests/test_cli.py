@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slreach.cli import main
 from slreach.heaps import Heap, MemoryState, load_state, save_state
@@ -141,3 +144,39 @@ def test_usage_errors(capsys, tmp_path):
 def test_deep_nesting_is_a_usage_error(state_file, capsys, formula):
     assert main(["check", "-f", formula, "-m", state_file]) == 2
     assert capsys.readouterr().err == "error: formula nested too deeply\n"
+
+
+# Pieces of both grammars (propositional and first-order), and stray text.
+_PIECES = [
+    "emp", "true", "false", "not", "(", ")", "x1", "x2", "x3", "x0", "=",
+    "~>", "|->", "*", "-*", "-o", "/\\", "\\/", "=>", ",", ";", ".", "forall",
+    "exists", "ls(x1,x2)", "reach(x2,x1)", "reach+(x1,x1)", "alloc(x2)",
+    "size>=2", "size<=1", "size=0", "size>=", "allocinv(x1; x2)",
+    "loop2(x1; x2)", "nexteq(x1,x2)", "nextpt(x1,x2; x1)", "reacheq(x1,x2; 2)",
+    "reachle(x1,x2; 1)", "safe(x1,x2)", "0", "7", "-", "@",
+]
+_formula_texts = st.one_of(
+    st.lists(st.sampled_from(_PIECES), max_size=10).map(" ".join),
+    st.text(max_size=12),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_state(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "state.json"
+    save_state(MemoryState(2, {1: 0, 2: 3}, Heap({0: 1, 1: 3})), str(path))
+    return str(path)
+
+
+def _quiet_main(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_formula_texts)
+def test_fuzz_check_and_translate_exit_codes(fuzz_state, text):
+    # sat is left out: it does not terminate on some q = 3 formulae
+    assert _quiet_main(["check", "-f", text, "-m", fuzz_state]) in (0, 1, 2)
+    assert _quiet_main(["translate", "--fo", text]) in (0, 1, 2)

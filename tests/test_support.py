@@ -1,5 +1,9 @@
 import random
 
+import pytest
+from hypothesis import given, settings
+
+from slreach import solver
 from slreach.heaps import Heap, MemoryState
 from slreach.support import (
     SupportGraph,
@@ -13,7 +17,7 @@ from slreach.support import (
     var_term,
 )
 
-from oracle import all_states, naive_meet
+from oracle import all_states, naive_meet, random_states
 
 
 def test_term_count():
@@ -146,3 +150,30 @@ def test_dump_is_stable():
     assert "vertex 1 [alloc]" in text
     assert "edge 1 -> 4 (btw 2)" in text
     assert "rem: 1" in text
+
+
+def _assert_labels_by_term_value(m):
+    """The support graph's labelling against per-term term_value."""
+    g = build_support_graph(m)
+    by_term = {}
+    for t in all_terms(m.q):
+        loc = term_value(m, t)
+        if loc is not None:
+            by_term.setdefault(loc, set()).add(t)
+    assert g.labels == {loc: frozenset(ts) for loc, ts in by_term.items()}, m
+    assert g.term_map == {t: loc for loc, ts in by_term.items() for t in ts}, m
+
+
+@pytest.mark.parametrize("q,alpha", [(1, 3), (2, 3)])
+def test_labels_by_term_value_on_canonical_states(q, alpha):
+    for d in solver._shape_descriptors(q, alpha):
+        _assert_labels_by_term_value(solver._materialize(q, d))
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_states())
+def test_labels_by_term_value_on_random_states(m):
+    _assert_labels_by_term_value(m)
+    for i in range(1, m.q + 1):
+        for j in range(1, m.q + 1):
+            assert [meet_point(m, i, j)] == (naive_meet(m, i, j) or [None]), (m, i, j)

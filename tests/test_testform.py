@@ -1,12 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from slreach import solver
 from slreach import syntax as S
+from slreach import testform
 from slreach.heaps import Heap, MemoryState
 from slreach.parser import parse
 from slreach.semantics import check_exact
-from slreach.support import meet_term, var_term
+from slreach.support import build_support_graph, meet_term, var_term
 from slreach.testform import (
     InternalInconsistencyError,
     LiteralProfile,
@@ -16,11 +19,13 @@ from slreach.testform import (
     eq_atom,
     equivalent,
     eval_atom,
+    eval_atom_on_graph,
     eval_test_formula,
     match_split,
     pointsto_atom,
     profile,
     profile_bits,
+    profile_of_graph,
     sees_atom,
     shrink,
     sizeothers_atom,
@@ -29,7 +34,7 @@ from slreach.testform import (
     atom_family,
 )
 
-from oracle import all_states
+from oracle import all_states, random_states
 
 
 def test_atom_family_size_check_size():
@@ -109,6 +114,42 @@ def test_profile_bits_is_the_profile():
             bits = profile_bits(m, alpha)
             assert {a for i, a in enumerate(family) if bits >> i & 1} == \
                 profile(m, alpha).satisfied
+
+
+def _assert_profiles_by_definition(m, alpha):
+    """profile, profile_of_graph and profile_bits against the per-atom
+    definition: every atom of the family evaluated on the support graph."""
+    g = build_support_graph(m)
+    family = atom_family(m.q, alpha)
+    want = frozenset(a for a in family if eval_atom_on_graph(g, a))
+    assert profile(m, alpha).satisfied == want, (m, alpha)
+    assert profile_of_graph(g, alpha) == want, (m, alpha)
+    bits = profile_bits(m, alpha)
+    assert {a for i, a in enumerate(family) if bits >> i & 1} == want, (m, alpha)
+
+
+@pytest.mark.parametrize("q,alpha", [(q, a) for q in (1, 2) for a in (1, 2, 3)])
+def test_profiles_by_definition_on_canonical_states(q, alpha):
+    descs = solver._shape_descriptors(q, alpha)
+    for d in descs:
+        _assert_profiles_by_definition(solver._materialize(q, d), alpha)
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_states(), st.integers(1, 4))
+def test_profiles_by_definition_on_random_states(m, alpha):
+    _assert_profiles_by_definition(m, alpha)
+
+
+def test_equivalent_reports_disagreement(monkeypatch, merge_states):
+    a, b = merge_states
+    assert not equivalent(a, b, 1)
+    monkeypatch.setattr(testform, "structure_witness", lambda *args: {})
+    with pytest.raises(InternalInconsistencyError):
+        equivalent(a, b, 1)
+    monkeypatch.setattr(testform, "structure_witness", lambda *args: None)
+    with pytest.raises(InternalInconsistencyError):
+        equivalent(a, a, 1)
 
 
 def test_encode_atomic_emp():
