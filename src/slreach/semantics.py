@@ -16,7 +16,8 @@ justified by the fact that isomorphic states satisfy the same formulae:
   constraint blocks (cells grouped by which variable cells and minimal
   variable-to-variable paths they lie on) instead of per subset, since the
   truth of a wand-free formula on a restriction only depends on how many
-  cells of each block the restriction keeps.
+  cells of each block the restriction keeps; a variable cell that one side
+  must allocate goes to that side.
 """
 
 from __future__ import annotations
@@ -437,6 +438,13 @@ class _Evaluator:
         upper = min(n if hi_l is _INF else hi_l, n - lo_r)
         if lower > upper:
             return False
+        # cells every model of a side allocates: they must lie in the heap,
+        # on one side only, and each fixes its block (the singleton holding
+        # the only cell tagged ("c", l)) to count 1 on the left, 0 on the right
+        must_l = _must_alloc(f.left, store)
+        must_r = _must_alloc(f.right, store)
+        if must_l & must_r or any(l not in heap for l in must_l | must_r):
+            return False
         vals = sorted({store[v] for v in f.vars})
         tags: Dict[int, list] = {}
         for l in vals:
@@ -452,6 +460,10 @@ class _Evaluator:
         for c in heap:
             groups.setdefault(frozenset(tags.get(c, ())), []).append(c)
         blocks = [sorted(cells) for _, cells in sorted(groups.items(), key=lambda kv: min(kv[1]))]
+        counts = [
+            (1,) if blk[0] in must_l else (0,) if blk[0] in must_r else range(len(blk) + 1)
+            for blk in blocks
+        ]
 
         def rec(idx: int, chosen: list, total: int, slack: int) -> bool:
             if idx == len(blocks):
@@ -461,11 +473,12 @@ class _Evaluator:
                 for blk, cnt in zip(blocks, chosen):
                     for c in blk[:cnt]:
                         sub[c] = heap[c]
+                if not self.ev(store, sub, f.left):
+                    return False
                 rest = {c: t for c, t in heap.items() if c not in sub}
-                return self.ev(store, sub, f.left) and self.ev(store, rest, f.right)
-            blk = blocks[idx]
-            rest_slack = slack - len(blk)
-            for cnt in range(len(blk) + 1):
+                return self.ev(store, rest, f.right)
+            rest_slack = slack - counts[idx][-1]
+            for cnt in counts[idx]:
                 if total + cnt > upper:
                     break
                 if total + cnt + rest_slack < lower:
@@ -477,8 +490,7 @@ class _Evaluator:
                 chosen.pop()
             return False
 
-        slack = sum(len(b) for b in blocks)
-        return rec(0, [], 0, slack)
+        return rec(0, [], 0, sum(c[-1] for c in counts))
 
     # general path: (truth, exact) -------------------------------------------
     def _shortcut(self, store: dict, heap: dict, f: S.Formula):

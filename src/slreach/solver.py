@@ -5,10 +5,12 @@ state is equivalent (at rank alpha = memory size of the query) to one whose
 heap consists of paths of at most alpha intermediate cells between at most
 q^2 + q labelled locations, a remainder block of at most alpha cells pointing
 at one sink, and dangling labelled cells pointing at one dump location.
-Enumerating exactly those states, deduplicated by literal profile, covers
-every satisfiability class; any model found lies within the small-heap bound
-(q^2+q)(n+1)+n.  Enumeration ascends by cell count, so returned models are
-cell-minimal.
+At most q variable vertices and q - 1 meet-points are needed (see
+_shape_descriptors).  Enumerating those states covers every satisfiability
+class; any model found lies within the small-heap bound (q^2+q)(n+1)+n.
+States with equal profiles are not merged: sweeping an equivalent duplicate
+is sound, and at q <= 2, alpha <= 4 no two canonical states share a profile.
+Enumeration ascends by cell count, so returned models are cell-minimal.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from . import syntax as S
 from .heaps import Heap, MemoryState, extensions
 from .semantics import WandPolicy, check, check_exact, sl_star_wand_bound
 from .syntax import msize, rewrite_reach
-from .testform import profile_bits
 
 
 class FragmentError(ValueError):
@@ -61,53 +62,69 @@ _DUMP = ("dump",)
 
 
 def _shape_descriptors(q: int, alpha: int) -> List[tuple]:
-    """(pattern, succ, rem, cells) tuples describing every canonical shape."""
+    """(pattern, succ, rem, cells) tuples describing every canonical shape.
+
+    succ[v] is the compressed successor of vertex v: none, the dump, or an
+    edge to vertex t through k intermediate cells.  Vertices below n_store
+    carry the variables; the n_extra above them are meet-points, which are
+    real only with two incoming edges and a path to a variable vertex (other
+    extra configurations only duplicate profiles already covered without
+    extras).  So 2 * n_extra edges enter the extras and, once there is an
+    extra, at least one more enters a variable vertex, all out of the
+    n_store + n_extra vertices: n_extra <= n_store - 1 < q.  Successors are
+    chosen vertex by vertex, and a prefix is dropped as soon as the vertices
+    left cannot supply the incoming edges the extras still lack.
+    """
     out = []
-    meets_max = q * q - q
     for pattern in _store_patterns(q):
         n_store = max(pattern) + 1
-        for n_extra in range(meets_max + 1):
+        for n_extra in range(n_store):
             nv = n_store + n_extra
-            extras = range(n_store, nv)
             options = [_NO_SUCC, _DUMP]
             options += [("edge", t, k) for t in range(nv) for k in range(alpha + 1)]
-            for succ in product(options, repeat=nv):
-                indeg: Dict[int, int] = {}
-                for sc in succ:
+            indeg = [0] * nv
+            succ: List[tuple] = []
+
+            def rec(lacking: int):
+                if lacking > nv - len(succ):
+                    return
+                if len(succ) == nv:
+                    if all(_reaches_store(succ, e, n_store) for e in range(n_store, nv)):
+                        base = sum(
+                            0 if sc[0] == "none" else (1 if sc[0] == "dump" else 1 + sc[2])
+                            for sc in succ
+                        )
+                        desc = tuple(succ)
+                        for rem in range(alpha + 1):
+                            out.append((pattern, desc, rem, base + rem))
+                    return
+                for sc in options:
+                    gain = 0
                     if sc[0] == "edge":
-                        indeg[sc[1]] = indeg.get(sc[1], 0) + 1
-                # real meet-points need two incoming compressed edges and a
-                # path to some variable vertex; other extra configurations
-                # only duplicate profiles already covered without extras
-                ok = True
-                for e in extras:
-                    if indeg.get(e, 0) < 2:
-                        ok = False
-                        break
-                    cur, seen = e, set()
-                    while cur not in seen:
-                        seen.add(cur)
-                        if cur < n_store:
-                            break
-                        sc = succ[cur]
-                        if sc[0] != "edge":
-                            break
-                        cur = sc[1]
-                    else:
-                        cur = -1
-                    if cur >= n_store or cur == -1:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                base = sum(
-                    0 if sc[0] == "none" else (1 if sc[0] == "dump" else 1 + sc[2])
-                    for sc in succ
-                )
-                for rem in range(alpha + 1):
-                    out.append((pattern, succ, rem, base + rem))
+                        t = sc[1]
+                        if t >= n_store and indeg[t] < 2:
+                            gain = 1
+                        indeg[t] += 1
+                    succ.append(sc)
+                    rec(lacking - gain)
+                    succ.pop()
+                    if sc[0] == "edge":
+                        indeg[sc[1]] -= 1
+
+            rec(2 * n_extra)
     out.sort(key=lambda d: (d[3], d[:3]))
     return out
+
+
+def _reaches_store(succ: List[tuple], v: int, n_store: int) -> bool:
+    """Whether the compressed path from vertex v reaches a variable vertex."""
+    seen = set()
+    while v >= n_store:
+        if v in seen or succ[v][0] != "edge":
+            return False
+        seen.add(v)
+        v = succ[v][1]
+    return True
 
 
 def _materialize(q: int, desc: tuple) -> MemoryState:
@@ -142,50 +159,29 @@ def _materialize(q: int, desc: tuple) -> MemoryState:
     return MemoryState(q, store, Heap(heap))
 
 
-class _RepCache:
-    """Profile representatives of the canonical space, ascending by cells."""
+class _CanonicalSpace:
+    """The canonical states of (q, alpha), ascending by cells, each
+    materialized on first use and kept for later sweeps."""
 
     def __init__(self, q: int, alpha: int):
         self.q = q
-        self.alpha = alpha
-        self.reps: List[MemoryState] = []
-        self._seen = set()
-        self._descs = None
-        self._pos = 0
+        self.descs = _shape_descriptors(q, alpha)
+        self.states: List[MemoryState] = []
 
     def __iter__(self) -> Iterator[MemoryState]:
-        i = 0
-        while True:
-            while i >= len(self.reps) and not self._exhausted():
-                self._advance()
-            if i >= len(self.reps):
-                return
-            yield self.reps[i]
-            i += 1
-
-    def _exhausted(self) -> bool:
-        return self._descs is not None and self._pos >= len(self._descs)
-
-    def _advance(self, chunk: int = 256):
-        if self._descs is None:
-            self._descs = _shape_descriptors(self.q, self.alpha)
-        end = min(self._pos + chunk, len(self._descs))
-        while self._pos < end:
-            m = _materialize(self.q, self._descs[self._pos])
-            self._pos += 1
-            key = profile_bits(m, self.alpha)
-            if key not in self._seen:
-                self._seen.add(key)
-                self.reps.append(m)
+        for i, d in enumerate(self.descs):
+            if i == len(self.states):
+                self.states.append(_materialize(self.q, d))
+            yield self.states[i]
 
 
-_REP_CACHES: Dict[Tuple[int, int], _RepCache] = {}
+_REP_CACHES: Dict[Tuple[int, int], _CanonicalSpace] = {}
 
 
-def canonical_states(q: int, alpha: int) -> _RepCache:
+def canonical_states(q: int, alpha: int) -> _CanonicalSpace:
     key = (q, alpha)
     if key not in _REP_CACHES:
-        _REP_CACHES[key] = _RepCache(q, alpha)
+        _REP_CACHES[key] = _CanonicalSpace(q, alpha)
     return _REP_CACHES[key]
 
 

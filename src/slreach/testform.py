@@ -86,12 +86,6 @@ def atom_family(q: int, alpha: int) -> Tuple[TestAtom, ...]:
     return tuple(atoms)
 
 
-@lru_cache(maxsize=None)
-def _atom_index(q: int, alpha: int) -> Dict[TestAtom, int]:
-    """Each atom of atom_family(q, alpha) to its position."""
-    return {a: i for i, a in enumerate(atom_family(q, alpha))}
-
-
 def eval_atom_on_graph(g: SupportGraph, a: TestAtom) -> bool:
     """One atom on a support graph, by the atom's definition."""
     tm = g.term_map
@@ -156,18 +150,6 @@ class LiteralProfile:
 def profile(m: MemoryState, alpha: int) -> LiteralProfile:
     """The satisfied subset of Test(q, alpha)."""
     return LiteralProfile(m.q, alpha, profile_of_graph(build_support_graph(m), alpha))
-
-
-def profile_bits(m: MemoryState, alpha: int) -> int:
-    """profile(m, alpha) as a bit set: bit i is set when the i-th atom of
-    atom_family(m.q, alpha) holds.  For a fixed (q, alpha) it determines the
-    profile, and it is one small int where the profile is a frozenset of up
-    to a few hundred atoms."""
-    index = _atom_index(m.q, alpha)
-    bits = 0
-    for a in _satisfied_atoms(build_support_graph(m), alpha):
-        bits |= 1 << index[a]
-    return bits
 
 
 def profile_of_graph(g: SupportGraph, alpha: int) -> FrozenSet[TestAtom]:

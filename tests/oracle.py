@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: plain recursion over the defining
 clauses, full power-set enumeration for *, raw extension enumeration for -*,
-and a direct three-condition scan for meet-points.  No sharing with the
+a direct three-condition scan for meet-points, and a filter over the full
+product of successor choices for canonical shapes.  No sharing with the
 package's optimized evaluators beyond the data types.
 """
 
@@ -130,6 +131,47 @@ def naive_meet(m: MemoryState, i: int, j: int):
         if ok is not None:
             candidates.append(ok)
     return candidates
+
+
+def naive_shape_descriptors(q, alpha):
+    """The canonical shapes of solver._shape_descriptors, as (pattern, succ,
+    rem, cells) tuples sorted the same way: every successor vector over
+    q * q - q meet-point vertices, kept when each meet-point has two
+    incoming edges and a path to a variable vertex."""
+    out = []
+    patterns = [
+        p for p in product(range(q), repeat=q)
+        if all(p[i] <= max(p[:i], default=-1) + 1 for i in range(q))
+    ]
+    for pattern in patterns:
+        n_store = max(pattern) + 1
+        for n_extra in range(q * q - q + 1):
+            nv = n_store + n_extra
+            options = [("none",), ("dump",)]
+            options += [("edge", t, k) for t in range(nv) for k in range(alpha + 1)]
+            for succ in product(options, repeat=nv):
+                targets = [sc[1] for sc in succ if sc[0] == "edge"]
+                ok = True
+                for e in range(n_store, nv):
+                    path = [e]
+                    while path[-1] >= n_store and succ[path[-1]][0] == "edge":
+                        nxt = succ[path[-1]][1]
+                        if nxt in path:
+                            break
+                        path.append(nxt)
+                    if targets.count(e) < 2 or path[-1] >= n_store:
+                        ok = False
+                        break
+                if not ok:
+                    continue
+                base = sum(
+                    0 if sc[0] == "none" else 1 + (sc[2] if sc[0] == "edge" else 0)
+                    for sc in succ
+                )
+                for rem in range(alpha + 1):
+                    out.append((pattern, succ, rem, base + rem))
+    out.sort(key=lambda d: (d[3], d[:3]))
+    return out
 
 
 def all_heaps(locations, max_cells):

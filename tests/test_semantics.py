@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slreach import syntax as S
 from slreach.heaps import Heap, MemoryState
@@ -14,7 +15,7 @@ from slreach.semantics import (
     sl_star_wand_bound,
 )
 
-from oracle import all_states, naive_check
+from oracle import all_states, naive_check, random_states
 
 
 def test_cycle_discrimination(cycle_states):
@@ -83,6 +84,64 @@ def test_check_exact_matches_naive_oracle():
             assert check_exact(m, f) == naive_check(m.store, dict(m.heap.cells), f), (
                 f, m,
             )
+
+
+_ALLOCATING = (S.PointsTo, S.ReachPlus, S.Ls, S.Reach)
+
+
+@st.composite
+def _star_formulae(draw, q):
+    """x * y where each side is a conjunction of |->, reach+, ls and reach
+    atoms, sometimes with a negated atom, an equality, true or not emp, and
+    sometimes split again by *."""
+    var = st.integers(1, q)
+
+    def atom(kinds):
+        return draw(st.sampled_from(kinds))(draw(var), draw(var))
+
+    def side(depth):
+        f = atom(_ALLOCATING)
+        for _ in range(draw(st.integers(0, 2))):
+            f = S.And(f, atom(_ALLOCATING))
+        extra = draw(st.sampled_from(("none", "not", "eq", "true", "nonempty")))
+        if extra == "not":
+            f = S.And(f, S.Not(atom(_ALLOCATING)))
+        elif extra == "eq":
+            f = S.And(f, atom((S.Eq,)))
+        elif extra == "true":
+            f = S.And(f, S.TRUE)
+        elif extra == "nonempty":
+            f = S.And(f, S.Not(S.EMP))
+        if depth and draw(st.booleans()):
+            f = S.Star(f, side(depth - 1))
+        return f
+
+    return S.Star(side(1), side(1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_star_split_matches_naive(data):
+    m = data.draw(random_states(max_q=3, max_loc=5, max_cells=6))
+    f = data.draw(_star_formulae(m.q))
+    assert check_exact(m, f) == naive_check(m.store, dict(m.heap.cells), f), (m, f)
+
+
+def test_star_split_on_shared_must_cells():
+    # both sides must allocate s(x1), or one side needs a cell not in the heap
+    formulae = [
+        parse(t)
+        for t in (
+            "x1 |-> x2 * reach+(x1,x2)",
+            "(x1 |-> x2 /\\ true) * (ls(x1,x2) /\\ true)",
+            "reach(x1,x2) * (x1 |-> x1)",
+            "(x1 |-> x2 * true) * (reach+(x2,x1) /\\ true)",
+            "reach+(x1,x1) * (x2 |-> x1)",
+        )
+    ]
+    for m in all_states(2, range(3), 3):
+        for f in formulae:
+            assert check_exact(m, f) == naive_check(m.store, dict(m.heap.cells), f), (m, f)
 
 
 def test_bounded_wand_matches_naive_on_small_instances():

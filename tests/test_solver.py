@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from slreach import syntax as S
 from slreach.heaps import Heap, MemoryState
 from slreach.parser import parse
 from slreach.semantics import WandPolicy, check, check_exact
+from slreach import solver
 from slreach.solver import (
     FragmentError,
     brute_sat,
@@ -19,6 +21,8 @@ from slreach.solver import (
 )
 from slreach.syntax import msize, rewrite_reach
 from slreach.testform import small_heap_bound
+
+from oracle import naive_shape_descriptors
 
 
 def rp(text):
@@ -185,3 +189,32 @@ def test_oracle_agreement_random():
         else:
             assert oracle.status == "unknown", (f, oracle.model)
     assert n_checked >= 60
+
+
+@pytest.mark.parametrize("q,alpha", [(q, a) for q in (1, 2) for a in (1, 2, 3, 4)])
+def test_shape_descriptors_match_full_product(q, alpha):
+    assert solver._shape_descriptors(q, alpha) == naive_shape_descriptors(q, alpha)
+
+
+def _q3_corpus():
+    path = os.path.join(os.path.dirname(__file__), "data", "sat_q3.txt")
+    with open(path) as fh:
+        for line in fh:
+            if line.strip() and not line.startswith("#"):
+                verdict, text = line.rstrip("\n").split("\t")
+                yield verdict, parse(text)
+
+
+def test_q3_corpus_agrees_with_brute_force():
+    corpus = list(_q3_corpus())
+    assert {v for v, _ in corpus} == {"sat", "unsat"}
+    for verdict, f in corpus:
+        assert max(f.vars) == 3 and msize(f) <= 2, f
+        mine = sat_reachplus(f)
+        oracle = brute_sat(f, 3, 4)
+        assert mine.status == verdict, f
+        # every sat entry has a model within 3 cells over 4 locations
+        assert oracle.is_sat == mine.is_sat, f
+        if mine.is_sat:
+            assert check_exact(mine.model, f)
+            assert len(mine.model.heap) <= len(oracle.model.heap)

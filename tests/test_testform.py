@@ -24,7 +24,6 @@ from slreach.testform import (
     match_split,
     pointsto_atom,
     profile,
-    profile_bits,
     profile_of_graph,
     sees_atom,
     shrink,
@@ -105,27 +104,14 @@ def test_witness_matches_profiles_randomly():
         assert (structure_witness(m1, m2, alpha) is not None) == eq
 
 
-def test_profile_bits_is_the_profile():
-    rng = random.Random(7)
-    states = list(all_states(2, range(4), 3))
-    for alpha in (1, 2, 3):
-        family = atom_family(2, alpha)
-        for m in rng.sample(states, 300):
-            bits = profile_bits(m, alpha)
-            assert {a for i, a in enumerate(family) if bits >> i & 1} == \
-                profile(m, alpha).satisfied
-
-
 def _assert_profiles_by_definition(m, alpha):
-    """profile, profile_of_graph and profile_bits against the per-atom
-    definition: every atom of the family evaluated on the support graph."""
+    """profile and profile_of_graph against the per-atom definition: every
+    atom of the family evaluated on the support graph."""
     g = build_support_graph(m)
     family = atom_family(m.q, alpha)
     want = frozenset(a for a in family if eval_atom_on_graph(g, a))
     assert profile(m, alpha).satisfied == want, (m, alpha)
     assert profile_of_graph(g, alpha) == want, (m, alpha)
-    bits = profile_bits(m, alpha)
-    assert {a for i, a in enumerate(family) if bits >> i & 1} == want, (m, alpha)
 
 
 @pytest.mark.parametrize("q,alpha", [(q, a) for q in (1, 2) for a in (1, 2, 3)])
