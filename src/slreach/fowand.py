@@ -287,38 +287,6 @@ def safe_formula(ctx: EncodingContext) -> S.Formula:
     return S.safe(ctx.X)
 
 
-def _subst_vars(f: S.Formula, mapping: Dict[int, int]) -> S.Formula:
-    spec = S.special_form(f)
-    if spec is not None:
-        # rebuild through the macro so the renamed instance stays registered
-        fn = {
-            "alloc_inv": S.alloc_inv,
-            "loop2": S.loop2,
-            "next_eq": S.next_eq,
-            "next_pointsto": S.next_pointsto,
-        }[spec[0]]
-        return fn(*[mapping.get(v, v) for v in spec[1:]])
-    if isinstance(f, S.Eq):
-        return S.Eq(mapping.get(f.x, f.x), mapping.get(f.y, f.y))
-    if isinstance(f, S.PointsTo):
-        return S.PointsTo(mapping.get(f.x, f.x), mapping.get(f.y, f.y))
-    if isinstance(f, S.Ls):
-        return S.Ls(mapping.get(f.x, f.x), mapping.get(f.y, f.y))
-    if isinstance(f, S.Reach):
-        return S.Reach(mapping.get(f.x, f.x), mapping.get(f.y, f.y))
-    if isinstance(f, S.ReachPlus):
-        return S.ReachPlus(mapping.get(f.x, f.x), mapping.get(f.y, f.y))
-    if isinstance(f, S.Not):
-        return S.Not(_subst_vars(f.child, mapping))
-    if isinstance(f, S.And):
-        return S.And(_subst_vars(f.left, mapping), _subst_vars(f.right, mapping))
-    if isinstance(f, S.Star):
-        return S.Star(_subst_vars(f.left, mapping), _subst_vars(f.right, mapping))
-    if isinstance(f, S.Wand):
-        return S.Wand(_subst_vars(f.left, mapping), _subst_vars(f.right, mapping))
-    return f
-
-
 def translate(psi: FOFormula, ctx: EncodingContext) -> S.Formula:
     """The propositional encoding: homomorphic on Boolean connectives,
     equality and points-to become successor predicates (with the helper
@@ -351,13 +319,18 @@ def _translate(psi: FOFormula, ctx: EncodingContext) -> S.Formula:
         )
     if isinstance(psi, FOWand):
         Z1 = sorted(free_vars(psi.left))
-        bar = {i: ctx.bar(i) for i in ctx.X}
         left_parts: List[S.Formula] = [S.alloc(ctx.bar(z)) for z in Z1]
         left_parts += [
             S.Not(S.alloc(ctx.bar(v))) for v in ctx.X if v not in Z1
         ]
         left_parts.append(safe_formula(ctx))
-        left_parts.append(_subst_vars(_translate(psi.left, ctx), bar))
+        # the left argument, renamed by the involution
+        bar = ctx.bar
+        left_parts.append(S.map_atoms(
+            _translate(psi.left, ctx),
+            lambda a: type(a)(bar(a.x), bar(a.y)) if isinstance(a, S._BinAtom) else a,
+            lambda name, *args: S.expand_macro(name, [bar(v) for v in args]),
+        ))
         guard = S.f_and(
             *[S.next_eq(z, ctx.bar(z)) for z in Z1], safe_formula(ctx)
         )

@@ -6,6 +6,11 @@ a policy-controlled supply of fresh ones, up to a policy-controlled cell
 bound: refutations found this way are definitive, exhaustion is reported as
 "true, not exact".
 
+alloc(x), the wand (x ~> x) -* false, is decided directly whenever the
+cell bound is at least 1: it holds iff s(x) is allocated, exactly, which is
+what the extension scan returns (the one-cell witness {s(x): s(x)} refutes
+it otherwise).  With cell bound 0 it goes through the scan like any wand.
+
 Three optimizations keep desk-scale exhaustive testing tractable, all
 justified by the fact that isomorphic states satisfy the same formulae:
 
@@ -578,6 +583,14 @@ class _Evaluator:
     def _wand(self, store: dict, heap: dict, f: S.Wand) -> Tuple[bool, bool]:
         if self.policy.mode == "forbid":
             raise WandForbiddenError("separating implication outside bounded mode")
+        # alloc(x) = (x ~> x) -* false, decided as the scan below would: if
+        # s(x) is allocated no disjoint extension satisfies x ~> x (true,
+        # exact); otherwise the one-cell extension {s(x): s(x)} lies within
+        # any cell bound >= 1 and refutes it (false, exact).  With bound 0
+        # the scan finds no extension and answers true, inexact.
+        x = _alloc_pattern(f)
+        if x is not None and self.policy.cell_bound >= 1:
+            return (store[x] in heap, True)
         A, B = f.left, f.right
         lo_a, hi_a = _interval(A, store)
         if hi_a is not _INF and lo_a > hi_a:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import weakref
 from enum import Enum
+from functools import lru_cache
 from typing import FrozenSet, Sequence, Tuple
 
 
@@ -278,7 +279,19 @@ def subformulas(f: Formula):
 
 # ---------------------------------------------------------------------------
 # Macro catalogue.  Every expansion is purely syntactic.
+#
+# The builders whose arguments are ints are cached: nodes are interned, so a
+# cached call returns the very node a fresh build would, and an auxiliary
+# predicate is registered in _SPECIAL_NODES on its first build.  typed=True
+# keeps 2.0 from hitting the entry of 2, so bad arguments are still rejected.
 # ---------------------------------------------------------------------------
+
+# Instances kept per builder.  The translations of the first-order corpus
+# over two variables build 90 distinct instances over all builders, at most
+# 34 of one (reach_eq), so the bound leaves room for larger translations.
+_MACRO_CACHE_SIZE = 128
+_cached = lru_cache(maxsize=_MACRO_CACHE_SIZE, typed=True)
+
 
 def _nat(n, what="argument"):
     if not (isinstance(n, int) and n >= 0):
@@ -286,6 +299,7 @@ def _nat(n, what="argument"):
     return n
 
 
+@_cached
 def size_geq(beta: int) -> Formula:
     _nat(beta, "beta")
     f: Formula = TRUE
@@ -294,11 +308,13 @@ def size_geq(beta: int) -> Formula:
     return f
 
 
+@_cached
 def size_leq(beta: int) -> Formula:
     _nat(beta, "beta")
     return Not(size_geq(beta + 1))
 
 
+@_cached
 def size_eq(beta: int) -> Formula:
     _nat(beta, "beta")
     return And(size_leq(beta), size_geq(beta))
@@ -308,6 +324,7 @@ def septraction(a: Formula, b: Formula) -> Formula:
     return Not(Wand(a, Not(b)))
 
 
+@_cached
 def alloc(x: int) -> Formula:
     return Wand(PointsTo(x, x), FALSE)
 
@@ -323,11 +340,13 @@ def holds_on_cells(f: Formula, gamma: int) -> Formula:
     return Star(And(size_eq(gamma), f), TRUE)
 
 
+@_cached
 def reach_eq(x: int, y: int, gamma: int) -> Formula:
     """The minimal path from x to y has length exactly gamma."""
     return holds_on_cells(Ls(x, y), gamma)
 
 
+@_cached
 def reach_leq(x: int, y: int, gamma: int) -> Formula:
     _nat(gamma, "gamma")
     return f_or(*[reach_eq(x, y, g) for g in range(gamma + 1)])
@@ -342,6 +361,7 @@ def special_form(f: Formula):
     return _SPECIAL_NODES.get(f)
 
 
+@_cached
 def alloc_inv(x: int, y: int) -> Formula:
     """x has a predecessor in the heap, valid whenever s(x) != s(y)."""
     inner = septraction(
@@ -353,6 +373,7 @@ def alloc_inv(x: int, y: int) -> Formula:
     return out
 
 
+@_cached
 def loop2(x: int, y: int) -> Formula:
     """x reaches itself in exactly two steps, valid whenever s(x) != s(y).
 
@@ -374,6 +395,7 @@ def loop2(x: int, y: int) -> Formula:
     return out
 
 
+@_cached
 def next_eq(x: int, y: int) -> Formula:
     """h(s(x)) = h(s(y)), both allocated."""
     no_direct = f_and(
@@ -400,6 +422,7 @@ def next_eq(x: int, y: int) -> Formula:
     return out
 
 
+@_cached
 def next_pointsto(x: int, y: int, z: int) -> Formula:
     """h(h(s(x))) = h(s(y)) with x and y allocated, valid when s(x) != s(z)
     and s(y) != s(z)."""
@@ -448,7 +471,11 @@ def safe(xs: Sequence[int]) -> Formula:
     """All listed variables distinct and without predecessors; the helper for
     each variable's predecessor test is its involution partner, so the list
     length must be even."""
-    xs = list(xs)
+    return _safe(*xs)
+
+
+@_cached
+def _safe(*xs: int) -> Formula:
     if len(xs) < 2 or len(xs) % 2 != 0:
         raise ValueError("safe expects an even number (>= 2) of variables")
     half = len(xs) // 2
@@ -503,8 +530,28 @@ def expand_macro(name: str, args: Sequence) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Reachability-predicate rewriting.
+# Atom maps: reachability-predicate rewriting and variable renaming.
 # ---------------------------------------------------------------------------
+
+def map_atoms(f: Formula, atom, special=None) -> Formula:
+    """f with every atom g replaced by atom(g) and the connectives above it
+    rebuilt.  When special is given, a registered auxiliary predicate (see
+    special_form) is not descended into: it becomes special(name, *args),
+    so a rename can rebuild it through its macro and keep it registered."""
+
+    def go(g: Formula) -> Formula:
+        if special is not None:
+            spec = special_form(g)
+            if spec is not None:
+                return special(*spec)
+        if isinstance(g, Not):
+            return Not(go(g.child))
+        if isinstance(g, _BinOp):
+            return type(g)(go(g.left), go(g.right))
+        return atom(g)
+
+    return go(f)
+
 
 def rewrite_reach(f: Formula, target: str) -> Formula:
     """Rewrite ls/reach/reach+ atoms so only the target predicate remains.
@@ -516,15 +563,7 @@ def rewrite_reach(f: Formula, target: str) -> Formula:
     if target not in ("ls", "reach", "reachplus"):
         raise ValueError(f"unknown target {target!r}")
 
-    def go(g: Formula) -> Formula:
-        if isinstance(g, Not):
-            return Not(go(g.child))
-        if isinstance(g, And):
-            return And(go(g.left), go(g.right))
-        if isinstance(g, Star):
-            return Star(go(g.left), go(g.right))
-        if isinstance(g, Wand):
-            return Wand(go(g.left), go(g.right))
+    def atom(g: Formula) -> Formula:
         if isinstance(g, Ls):
             x, y = g.x, g.y
             if target == "ls":
@@ -548,15 +587,13 @@ def rewrite_reach(f: Formula, target: str) -> Formula:
             if target == "ls":
                 return Star(TRUE, Ls(x, y))
             return f_or(Eq(x, y), ReachPlus(x, y))
-        if isinstance(g, ReachPlus):
-            if target == "reachplus":
-                return g
+        if isinstance(g, ReachPlus) and target != "reachplus":
             raise ValueError(
                 "reach+ atoms cannot be rewritten into ls/reach only"
             )
         return g
 
-    return go(f)
+    return map_atoms(f, atom)
 
 
 # ---------------------------------------------------------------------------

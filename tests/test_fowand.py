@@ -91,6 +91,7 @@ def test_translate_wand_shape():
     assert S.Not(S.alloc(1)) in left_parts
     assert S.Not(S.alloc(2)) in left_parts
     assert left_parts[-1] == S.next_pointsto(3, 4, 1)
+    assert translate(parse_fo("(x1 ~> x2) -* (x1 ~> x2)"), ctx) is t
     # right: (next-equalities /\ Safe) => ((alloc(x3)/\alloc(x4)/\size=2) * body)
     assert isinstance(t.right, S.Not)
     guard_and_neg = t.right.child
@@ -102,6 +103,13 @@ def test_translate_wand_shape():
     sizes = [g for g in S.subformulas(pinned) if g == S.size_eq(2)]
     assert sizes, "pinned conjunct must fix size = |Z|"
     assert star.right == S.next_pointsto(1, 2, 3)
+
+
+def test_renamed_left_argument_stays_registered():
+    # over q = 3 the left argument becomes nextpt(x4,x5; x1), an instance
+    # nothing else builds: the rename itself must register it
+    t = translate(parse_fo("(x1 ~> x2) -* (x1 ~> x2)"), EncodingContext(3, Z=[1, 2]))
+    assert S.special_form(t.left.right) == ("next_pointsto", 4, 5, 1)
 
 
 def test_translate_requires_Z_cover():

@@ -244,3 +244,54 @@ def test_macro_shortcut_policy_agrees():
             if f.vars and max(f.vars) > m.q:
                 continue
             assert check(m, f, plain).truth == check(m, f, fast).truth, (f, m)
+
+
+def test_alloc_decided_like_the_scan():
+    # alloc(x) is decided without a scan once cell_bound >= 1; with bound 0
+    # the scan finds no extension and the answer is true, inexact
+    for m in all_states(2, range(4), 2):
+        heap = dict(m.heap.cells)
+        for x in (1, 2):
+            f = S.alloc(x)
+            for cb in (0, 1, 2):
+                for fr in (1, 2):
+                    r = check(m, f, WandPolicy("bounded", cb, fr))
+                    assert r.truth == naive_check(m.store, heap, f, cb, fr), (m, x, cb, fr)
+                    assert r.exact == (cb >= 1 or m.store[x] in heap), (m, x, cb, fr)
+            with pytest.raises(WandForbiddenError):
+                check(m, f, FORBID)
+
+
+@st.composite
+def _alloc_formulae(draw, q):
+    """alloc(x) and not alloc(x) leaves, with some points-to and (not) emp
+    leaves, combined by * and /\\."""
+    var = st.integers(1, q)
+
+    def leaf():
+        kind = draw(st.sampled_from(("alloc", "not alloc", "pt", "emp", "not emp")))
+        if kind == "alloc":
+            return S.alloc(draw(var))
+        if kind == "not alloc":
+            return S.Not(S.alloc(draw(var)))
+        if kind == "pt":
+            return S.PointsTo(draw(var), draw(var))
+        return S.EMP if kind == "emp" else S.Not(S.EMP)
+
+    def tree(depth):
+        if depth == 0 or draw(st.booleans()):
+            return leaf()
+        op = draw(st.sampled_from((S.Star, S.And)))
+        return op(tree(depth - 1), tree(depth - 1))
+
+    return tree(3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_nested_alloc_matches_naive(data):
+    m = data.draw(random_states(max_q=3, max_loc=5, max_cells=4))
+    f = data.draw(_alloc_formulae(m.q))
+    cb, fr = data.draw(st.integers(0, 2)), data.draw(st.integers(1, 2))
+    got = check(m, f, WandPolicy("bounded", cb, fr)).truth
+    assert got == naive_check(m.store, dict(m.heap.cells), f, cb, fr), (m, f, cb, fr)

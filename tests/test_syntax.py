@@ -69,6 +69,33 @@ def test_special_form_survives_collection():
     parse("nextpt(x1,x2; x3)")
     gc.collect()
     assert S.special_form(parse("nextpt(x1,x2; x3)")) == ("next_pointsto", 1, 2, 3)
+    assert S.special_form(S.next_pointsto(1, 2, 3)) == ("next_pointsto", 1, 2, 3)
+
+
+_CACHED_MACROS = [
+    (S.size_geq, (3,)), (S.size_leq, (2,)), (S.size_eq, (2,)), (S.alloc, (2,)),
+    (S.reach_eq, (1, 2, 2)), (S.reach_leq, (2, 1, 3)), (S.alloc_inv, (2, 3)),
+    (S.loop2, (1, 3)), (S.next_eq, (3, 1)), (S.next_pointsto, (1, 2, 3)),
+    (S._safe, (1, 2, 3, 4)),
+]
+
+
+def test_cached_macros_return_the_fresh_build():
+    for fn, args in _CACHED_MACROS:
+        built = fn(*args)
+        hits = fn.cache_info().hits
+        assert fn(*args) is built and fn.cache_info().hits == hits + 1
+        assert fn.__wrapped__(*args) is built, fn.__name__
+    assert S.safe([1, 2, 3, 4]) is S._safe(1, 2, 3, 4)
+
+
+def test_cached_macros_still_reject_bad_arguments():
+    for fn, good, bad in (
+        (S.size_geq, 2, 2.0), (S.alloc, 1, 1.0), (S.safe, [1, 2], [1.0, 2.0]),
+    ):
+        fn(good)
+        with pytest.raises(ValueError):
+            fn(bad)
 
 
 def test_bad_variable_registers_nothing():
