@@ -160,12 +160,6 @@ def validate_quantifiers(f: FOFormula) -> None:
         raise ValueError("a bound variable also occurs free")
 
 
-def contains_wand(f: FOFormula) -> bool:
-    if isinstance(f, FOWand):
-        return True
-    return any(contains_wand(c) for c in f.children())
-
-
 def quantifier_depth(f: FOFormula) -> int:
     if isinstance(f, FOForall):
         return 1 + quantifier_depth(f.body)

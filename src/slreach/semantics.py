@@ -6,23 +6,32 @@ a policy-controlled supply of fresh ones, up to a policy-controlled cell
 bound: refutations found this way are definitive, exhaustion is reported as
 "true, not exact".
 
-alloc(x), the wand (x ~> x) -* false, is decided directly whenever the
-cell bound is at least 1: it holds iff s(x) is allocated, exactly, which is
-what the extension scan returns (the one-cell witness {s(x): s(x)} refutes
-it otherwise).  With cell bound 0 it goes through the scan like any wand.
+Special cases, each keeping the enumeration's verdicts, with what turning
+it off alone costs (a "round" is one in-process round of the benchmark
+workload named, seed 1):
 
-Three optimizations keep desk-scale exhaustive testing tractable, all
-justified by the fact that isomorphic states satisfy the same formulae:
-
-* wand results are memoized under a canonical relabelling of the state;
-* extension witnesses are enumerated with the unused fresh locations
-  compacted to a prefix, which drops permutation duplicates;
-* separating conjunctions of wand-free formulae split the heap per
-  constraint blocks (cells grouped by which variable cells and minimal
-  variable-to-variable paths they lie on) instead of per subset, since the
-  truth of a wand-free formula on a restriction only depends on how many
-  cells of each block the restriction keeps; a variable cell that one side
-  must allocate goes to that side.
+* alloc(x) = (x ~> x) -* false is decided as "s(x) allocated", exactly, when
+  the cell bound is at least 1, which is what the scan returns (the witness
+  {s(x): s(x)} refutes it otherwise); with bound 0 it is scanned.
+* Wand results are memoized under a canonical relabelling of the state
+  (isomorphic states satisfy the same formulae): a raw key takes the wand
+  round from 2.3 s to 6.1 s.
+* Fresh locations enter an extension in rank order (no permutation twins),
+  and * on wand-free sides splits per constraint block (cells grouped by the
+  variable cells and minimal variable-to-variable paths they lie on), the
+  variable cells a side must allocate going to that side.
+* policy.macro_shortcuts evaluates the auxiliary predicates by their
+  characterizations (_shortcut): without it the translation round takes
+  150 s, not 0.94 s, with 1181 inexact results instead of 486.
+* Conjuncts of the wand's left side and negated right side constrain every
+  counterexample (_conjunct_facts): not alloc(x) bans s(x) as a source
+  (without it, not alloc(x1) -* not (x1 ~> x2) is exact on 208, not 1184,
+  of all_states(2, range(4), 2)); not alloc_inv(x, y) bans s(x) as a
+  target (translation round 1.6 s); next_eq pins a successor (8.6 s).
+* true -* not psi with psi a monotone bracket pattern is decided from psi's
+  minimal witnesses (_certificates; wand round 4.4 s of CPU, not 2.1 s); for
+  other extension-monotone psi, _witness_need caps the extension size (33
+  of 4000 random -* checks lose their exact flag without it).
 """
 
 from __future__ import annotations
@@ -156,47 +165,37 @@ def _must_alloc(f: S.Formula, store) -> frozenset:
     return frozenset()
 
 
-def _must_not_alloc(f: S.Formula, store) -> frozenset:
-    """Locations unallocated in every model of f.  Conjunction-only descent:
-    under * the negative information applies to one part of the split."""
-    if isinstance(f, S.Emp):
-        return frozenset()  # everything, but the size interval handles it
-    if isinstance(f, S.Not):
-        v = _alloc_pattern(f.child)
-        if v is not None:
-            return frozenset((store[v],))
-        return frozenset()
-    if isinstance(f, S.And):
-        return _must_not_alloc(f.left, store) | _must_not_alloc(f.right, store)
-    return frozenset()
+def _conjuncts(f: S.Formula) -> list:
+    """The conjuncts of f's top and-chain, left to right.  A registered
+    auxiliary predicate is one conjunct, even when its expansion is an and."""
+    out, todo = [], [f]
+    while todo:
+        g = todo.pop()
+        if isinstance(g, S.And) and S.special_form(g) is None:
+            todo += (g.right, g.left)
+        else:
+            out.append(g)
+    return out
 
 
-def _must_not_target(f: S.Formula, store) -> frozenset:
-    """Locations without a predecessor in every model of f (from negated
-    predecessor formulae, valid when the helper variable differs)."""
-    if isinstance(f, S.Not):
-        spec = S.special_form(f.child)
-        if (
-            spec is not None
-            and spec[0] == "alloc_inv"
-            and store[spec[1]] != store[spec[2]]
-        ):
-            return frozenset((store[spec[1]],))
-        return frozenset()
-    if isinstance(f, S.And):
-        return _must_not_target(f.left, store) | _must_not_target(f.right, store)
-    return frozenset()
-
-
-def _next_eq_conjuncts(f: S.Formula, out: list):
-    """Collect the next_eq(a, b) conjuncts of an and-chain."""
-    spec = S.special_form(f)
-    if spec is not None and spec[0] == "next_eq":
-        out.append((spec[1], spec[2]))
-        return
-    if isinstance(f, S.And):
-        _next_eq_conjuncts(f.left, out)
-        _next_eq_conjuncts(f.right, out)
+def _conjunct_facts(f: S.Formula, store):
+    """Read off f's conjuncts: locations unallocated (not alloc(x)), without
+    a predecessor (not alloc_inv(x, y), valid when s(x) != s(y)), and the
+    pairs (s(x), s(y)) of the next_eq(x, y) conjuncts."""
+    no_alloc, no_pred, next_eqs = set(), set(), []
+    for g in _conjuncts(f):
+        if isinstance(g, S.Not):
+            x = _alloc_pattern(g.child)
+            spec = S.special_form(g.child)
+            if x is not None:
+                no_alloc.add(store[x])
+            elif spec and spec[0] == "alloc_inv" and store[spec[1]] != store[spec[2]]:
+                no_pred.add(store[spec[1]])
+        else:
+            spec = S.special_form(g)
+            if spec and spec[0] == "next_eq":
+                next_eqs.append((store[spec[1]], store[spec[2]]))
+    return no_alloc, no_pred, next_eqs
 
 
 def _size_eq_value(f: S.Formula) -> Optional[int]:
@@ -631,7 +630,7 @@ class _Evaluator:
                     kmax = min(kmax, need)
         if result is None:
             result = self._wand_scan(
-                store, heap, A, neg_b, B, relevant, fresh, musts, kmax
+                store, heap, A, neg_b, B, relevant, fresh, musts, lo_a, kmax
             )
         _WAND_MEMO[key] = result
         return result
@@ -647,14 +646,12 @@ class _Evaluator:
                 return (False, True)
         return (True, False)
 
-    def _wand_scan(self, store, heap, A, neg_b, B, relevant, fresh, musts, kmax):
-        lo_a, _ = _interval(A, store)
-        banned_src = set(_must_not_alloc(A, store))
-        banned_tgt = set(_must_not_target(A, store))
+    def _wand_scan(self, store, heap, A, neg_b, B, relevant, fresh, musts, lo_a, kmax):
+        banned_src, banned_tgt, _ = _conjunct_facts(A, store)
 
         # a counterexample extension must also make not-B hold on the union,
         # so constraints of not-B on the union prune the candidate space
-        union_tgt_banned = _must_not_target(neg_b, store)
+        _, union_tgt_banned, next_eqs = _conjunct_facts(neg_b, store)
         if any(t in union_tgt_banned for t in heap.values()):
             return (True, True)
         banned_tgt |= union_tgt_banned
@@ -663,10 +660,7 @@ class _Evaluator:
             if l not in heap:
                 forced_set.add(l)
         pinned: Dict[int, int] = {}
-        pairs: list = []
-        _next_eq_conjuncts(neg_b, pairs)
-        for a_var, b_var in pairs:
-            la, lb = store[a_var], store[b_var]
+        for la, lb in next_eqs:
             in_a, in_b = la in heap, lb in heap
             if in_a and in_b:
                 if heap[la] != heap[lb]:
@@ -692,59 +686,39 @@ class _Evaluator:
             and l not in forced_set
             and l not in pinned
         ] + fresh
+        sources = forced + optional
         targets_rel = [l for l in relevant if l not in banned_tgt]
-        inexact_counter = False
-        empty_exact = None
-        kmin = max(lo_a, len(forced) + len(pinned), 0)
 
-        def assign_targets(pending, used, acc):
-            if not pending:
-                yield acc, used
-                return
-            s = pending[0]
-            tcap = min(used + 1, len(fresh))
-            for t in targets_rel + fresh[:tcap]:
-                if t in banned_tgt:
-                    continue
-                rt = rank.get(t)
-                u2 = used + 1 if (rt is not None and rt == used) else used
-                acc[s] = t
-                yield from assign_targets(pending[1:], u2, acc)
-                del acc[s]
+        def bump(l, used):
+            """Fresh locations in use once l is placed; None when l would
+            skip the next fresh one (fresh locations go in rank order)."""
+            r = rank.get(l)
+            if r is None or r < used:
+                return used
+            return used + 1 if r == used else None
 
-        def candidates(start, remaining, used, acc):
+        def extend(start, remaining, used, acc):
+            """acc plus `remaining` cells with sources from sources[start:]:
+            each forced source, in order, then a subset of the optional ones."""
             if remaining == 0:
                 yield acc
                 return
-            for i in range(start, len(optional)):
-                s = optional[i]
-                r = rank.get(s)
-                if r is None or r < used:
-                    u1 = used
-                elif r == used:
-                    u1 = used + 1
-                else:
+            stop = start + 1 if start < len(forced) else len(sources)
+            for i in range(start, stop):
+                s = sources[i]
+                u1 = bump(s, used)
+                if u1 is None:
                     continue
-                tcap = min(u1 + 1, len(fresh))
-                for t in targets_rel + fresh[:tcap]:
-                    rt = rank.get(t)
-                    u2 = u1 + 1 if (rt is not None and rt == u1) else u1
+                for t in targets_rel + fresh[: u1 + 1]:
                     acc[s] = t
-                    yield from candidates(i + 1, remaining - 1, u2, acc)
+                    yield from extend(i + 1, remaining - 1, bump(t, u1), acc)
                     del acc[s]
 
-        def all_candidates(k):
-            for base, used in assign_targets(forced, 0, dict(pinned)):
-                extra = k - len(forced) - len(pinned)
-                if extra == 0:
-                    yield base
-                else:
-                    yield from candidates(0, extra, used, base)
-
-        for k in range(kmin, kmax + 1):
-            if k > len(optional) + len(forced) + len(pinned):
-                break
-            for h1 in ([{}] if k == 0 and not pinned and not forced else all_candidates(k)):
+        inexact_counter = False
+        empty_exact = None
+        kmin = max(lo_a, len(forced) + len(pinned), 0)
+        for k in range(kmin, min(kmax, len(sources) + len(pinned)) + 1):
+            for h1 in extend(0, k - len(pinned), 0, dict(pinned)):
                 va, ea = self.evx(store, dict(h1), A)
                 if not va:
                     continue

@@ -226,24 +226,13 @@ def sat_bool_shf(f: S.Formula) -> SatResult:
     return sat_reachplus(shf_rewrite(f))
 
 
-def _boolcomb_parts(f: S.Formula, out: List[S.Formula]):
-    if S.in_sl_star_wand(f) or S.strictly_in_sl_star_reachplus(f):
-        out.append(f)
-        return True
-    if isinstance(f, S.Not):
-        return _boolcomb_parts(f.child, out)
-    if isinstance(f, S.And):
-        return _boolcomb_parts(f.left, out) and _boolcomb_parts(f.right, out)
-    return False
-
-
 def sat_boolcomb(f: S.Formula) -> SatResult:
     """Satisfiability for Boolean combinations of SL(*,-*) and SL(*,reach+)
     formulae: sweep the canonical space at a rank covering every maximal
     part (2|part| for wand parts, msize for reach+ parts), evaluating wand
     parts with the complete bounded-wand budget."""
-    parts: List[S.Formula] = []
-    if not _boolcomb_parts(f, parts):
+    parts = S.boolcomb_parts(f)
+    if parts is None:
         raise FragmentError(
             "formula is not a Boolean combination of SL(*,-*) and SL(*,reach+)"
         )

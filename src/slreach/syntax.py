@@ -36,7 +36,7 @@ _NODES: "weakref.WeakValueDictionary[tuple, Formula]" = weakref.WeakValueDiction
 
 def _new_node(cls):
     node = object.__new__(cls)
-    node._size = node._msize = node._vars = node._wandfree = None
+    node._size = node._msize = node._vars = node._wandfree = node._special = None
     return node
 
 
@@ -46,7 +46,7 @@ class Formula:
     equality.  Copying and unpickling go through the constructors
     (__reduce__), so they return the interned node too."""
 
-    __slots__ = ("_size", "_msize", "_vars", "_wandfree", "__weakref__")
+    __slots__ = ("_size", "_msize", "_vars", "_wandfree", "_special", "__weakref__")
 
     def children(self) -> Tuple["Formula", ...]:
         return ()
@@ -282,7 +282,7 @@ def subformulas(f: Formula):
 #
 # The builders whose arguments are ints are cached: nodes are interned, so a
 # cached call returns the very node a fresh build would, and an auxiliary
-# predicate is registered in _SPECIAL_NODES on its first build.  typed=True
+# predicate is registered on its node (special_form) by its build.  typed=True
 # keeps 2.0 from hitting the entry of 2, so bad arguments are still rejected.
 # ---------------------------------------------------------------------------
 
@@ -352,13 +352,12 @@ def reach_leq(x: int, y: int, gamma: int) -> Formula:
     return f_or(*[reach_eq(x, y, g) for g in range(gamma + 1)])
 
 
-_SPECIAL_NODES: dict = {}
-
-
 def special_form(f: Formula):
     """(name, args...) when f is one of the registered auxiliary-predicate
-    expansions (alloc_inv, loop2, next_eq, next_pointsto)."""
-    return _SPECIAL_NODES.get(f)
+    expansions (alloc_inv, loop2, next_eq, next_pointsto).  The record lives
+    on the node, so it goes when the node is collected, and the builder
+    registers a rebuilt node again."""
+    return f._special
 
 
 @_cached
@@ -369,7 +368,7 @@ def alloc_inv(x: int, y: int) -> Formula:
         reach_eq(y, x, 2),
     )
     out = f_or(PointsTo(x, x), PointsTo(y, x), holds_on_cells(inner, 1))
-    _SPECIAL_NODES.setdefault(out, ("alloc_inv", x, y))
+    out._special = out._special or ("alloc_inv", x, y)
     return out
 
 
@@ -391,7 +390,7 @@ def loop2(x: int, y: int) -> Formula:
         f_implies(PointsTo(x, y), PointsTo(y, x)),
         holds_on_cells(body, 2),
     )
-    _SPECIAL_NODES.setdefault(out, ("loop2", x, y))
+    out._special = out._special or ("loop2", x, y)
     return out
 
 
@@ -418,7 +417,7 @@ def next_eq(x: int, y: int) -> Formula:
         ),
     )
     out = And(f_implies(Not(Eq(x, y)), holds_on_cells(body, 2)), alloc(x))
-    _SPECIAL_NODES.setdefault(out, ("next_eq", x, y))
+    out._special = out._special or ("next_eq", x, y)
     return out
 
 
@@ -463,7 +462,7 @@ def next_pointsto(x: int, y: int, z: int) -> Formula:
         And(next_eq(x, y), eq_case),
         And(Not(next_eq(x, y)), neq_case),
     )
-    _SPECIAL_NODES.setdefault(out, ("next_pointsto", x, y, z))
+    out._special = out._special or ("next_pointsto", x, y, z)
     return out
 
 
@@ -636,9 +635,7 @@ def in_sl_star_reachplus(f: Formula) -> bool:
 
 def strictly_in_sl_star_reachplus(f: Formula) -> bool:
     """Literal SL(*, reach+) syntax: no ls or reach atoms at all."""
-    return f.wand_free and _atoms_within(
-        f, (Emp, Truth, Falsum, Eq, PointsTo, Reach, Ls, ReachPlus)
-    ) and not any(isinstance(g, (Ls, Reach)) for g in subformulas(f))
+    return f.wand_free and _atoms_within(f, (Emp, Truth, Falsum, Eq, PointsTo, ReachPlus))
 
 
 def _is_mapsto_pattern(f: Formula) -> bool:
@@ -698,21 +695,28 @@ def _is_boolcomb_member(f: Formula) -> bool:
     return in_sl_star_wand(f) or strictly_in_sl_star_reachplus(f)
 
 
-def _is_boolcomb(f: Formula) -> bool:
-    if _is_boolcomb_member(f):
-        return True
-    if isinstance(f, Not):
-        return _is_boolcomb(f.child)
-    if isinstance(f, And):
-        return _is_boolcomb(f.left) and _is_boolcomb(f.right)
-    return False
+def boolcomb_parts(f: Formula):
+    """The maximal SL(*,-*) and SL(*,reach+) parts of f, left to right, when
+    f is a Boolean combination of such formulae; None otherwise."""
+    parts, todo = [], [f]
+    while todo:
+        g = todo.pop()
+        if _is_boolcomb_member(g):
+            parts.append(g)
+        elif isinstance(g, Not):
+            todo.append(g.child)
+        elif isinstance(g, And):
+            todo += (g.right, g.left)
+        else:
+            return None
+    return parts
 
 
 def in_boolcomb(f: Formula) -> bool:
     """Proper Boolean combination of SL(*,-*) and SL(*,reach+) formulae:
     combinations wholly inside one of the two fragments are reported under
     that fragment instead."""
-    return _is_boolcomb(f) and not _is_boolcomb_member(f)
+    return boolcomb_parts(f) is not None and not _is_boolcomb_member(f)
 
 
 def classify(f: Formula) -> FrozenSet[Fragment]:

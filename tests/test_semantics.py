@@ -262,6 +262,16 @@ def test_alloc_decided_like_the_scan():
                 check(m, f, FORBID)
 
 
+def test_unallocated_source_keeps_the_wand_exact():
+    # not alloc(x1) bans s(x1) as a source while x1 ~> x2 forces it, so the
+    # scan answers true, exactly, without enumerating an extension
+    f = parse("not alloc(x1) -* not (x1 ~> x2)")
+    results = [check(m, f, WandPolicy("bounded", 4, 4)) for m in all_states(2, range(4), 2)]
+    assert len(results) == 1808
+    assert sum(r.truth for r in results) == 1600
+    assert sum(r.exact for r in results) == 1184
+
+
 @st.composite
 def _alloc_formulae(draw, q):
     """alloc(x) and not alloc(x) leaves, with some points-to and (not) emp

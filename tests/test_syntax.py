@@ -1,6 +1,7 @@
 import copy
 import gc
 import pickle
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -70,6 +71,17 @@ def test_special_form_survives_collection():
     gc.collect()
     assert S.special_form(parse("nextpt(x1,x2; x3)")) == ("next_pointsto", 1, 2, 3)
     assert S.special_form(S.next_pointsto(1, 2, 3)) == ("next_pointsto", 1, 2, 3)
+
+
+def test_special_node_is_released_with_its_cache_entry():
+    # the registration lives on the node, so it does not keep the node alive
+    # once the macro cache has evicted it, and a rebuild registers it again
+    ref = weakref.ref(S.alloc_inv(91, 92))
+    for i in range(S._MACRO_CACHE_SIZE):
+        S.alloc_inv(93, 100 + i)
+    gc.collect()
+    assert ref() is None
+    assert S.special_form(S.alloc_inv(91, 92)) == ("alloc_inv", 91, 92)
 
 
 _CACHED_MACROS = [

@@ -5,13 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from slreach import solver
 from slreach import syntax as S
-from slreach import testform
 from slreach.heaps import Heap, MemoryState
 from slreach.parser import parse
 from slreach.semantics import check_exact
 from slreach.support import build_support_graph, meet_term, var_term
 from slreach.testform import (
-    InternalInconsistencyError,
     LiteralProfile,
     SplitPreconditionError,
     alloc_atom,
@@ -127,15 +125,29 @@ def test_profiles_by_definition_on_random_states(m, alpha):
     _assert_profiles_by_definition(m, alpha)
 
 
-def test_equivalent_reports_disagreement(monkeypatch, merge_states):
-    a, b = merge_states
-    assert not equivalent(a, b, 1)
-    monkeypatch.setattr(testform, "structure_witness", lambda *args: {})
-    with pytest.raises(InternalInconsistencyError):
-        equivalent(a, b, 1)
-    monkeypatch.setattr(testform, "structure_witness", lambda *args: None)
-    with pytest.raises(InternalInconsistencyError):
-        equivalent(a, a, 1)
+@settings(max_examples=300, deadline=None)
+@given(random_states(), st.integers(1, 4), st.data())
+def test_witness_matches_profiles_on_copies_and_mutants(m, alpha, data):
+    # equivalent decides by the witness alone; profile equality is the
+    # definition it must match, here up to q = 4 and alpha = 4
+    image = data.draw(st.lists(st.integers(0, 40), min_size=12, max_size=12, unique=True))
+    ren = dict(zip(sorted(m.locations()), image))
+    copy = MemoryState(
+        m.q, {i: ren[v] for i, v in m.store.items()}, Heap({ren[a]: ren[b] for a, b in m.heap.items()})
+    )
+    assert profile(m, alpha).satisfied == profile(copy, alpha).satisfied
+    assert equivalent(m, copy, alpha) and structure_witness(m, copy, alpha) is not None
+    cells = dict(m.heap.cells)
+    loc = data.draw(st.integers(0, 11))
+    target = data.draw(st.none() | st.integers(0, 11))
+    if target is None:
+        cells.pop(loc, None)
+    else:
+        cells[loc] = target
+    mutant = MemoryState(m.q, m.store, Heap(cells))
+    same = profile(m, alpha).satisfied == profile(mutant, alpha).satisfied
+    assert equivalent(m, mutant, alpha) == same
+    assert (structure_witness(m, mutant, alpha) is not None) == same
 
 
 def test_encode_atomic_emp():
