@@ -20,6 +20,11 @@ workload named, seed 1):
   and * on wand-free sides splits per constraint block (cells grouped by the
   variable cells and minimal variable-to-variable paths they lie on), the
   variable cells a side must allocate going to that side.
+* Each * side is summarized once (_footprint: sizes, must-allocated cells,
+  no model at all) through false, false (dis)equalities, ls(x, x) (emp
+  only), not not, disjunctions and wand-free * sides sharing a must cell;
+  the -* scan reads it plain.  Read plain by * too, a sat round takes 0.40 s
+  of CPU, not 0.18 s (medians of 15 rounds).
 * policy.macro_shortcuts evaluates the auxiliary predicates by their
   characterizations (_shortcut): without it the translation round takes
   150 s, not 0.94 s, with 1181 inexact results instead of 486.
@@ -78,7 +83,7 @@ class CheckResult(NamedTuple):
     exact: bool
 
 
-_INF = None  # open upper bound in size intervals
+_INF = float("inf")  # open upper bound in size intervals
 
 
 def _size_geq_value(f: S.Formula) -> Optional[int]:
@@ -94,38 +99,72 @@ def _size_geq_value(f: S.Formula) -> Optional[int]:
     return k if isinstance(f, S.Truth) else None
 
 
-def _interval(f: S.Formula, store) -> Tuple[int, Optional[int]]:
-    """(lo, hi) such that every model of f has lo <= |dom| <= hi."""
-    if isinstance(f, S.Emp):
-        return (0, 0)
-    if isinstance(f, S.Falsum):
-        return (1, 0)  # empty interval: unsatisfiable
-    if isinstance(f, (S.Truth, S.Eq)):
-        return (0, _INF)
-    if isinstance(f, (S.PointsTo, S.ReachPlus)):
-        return (1, _INF)
-    if isinstance(f, (S.Ls, S.Reach)):
-        if store is not None and store[f.x] != store[f.y]:
-            return (1, _INF)
-        return (0, _INF)
-    if isinstance(f, S.Not):
-        v = _size_geq_value(f.child)
-        if v is not None:
-            return (0, v - 1) if v >= 1 else (1, 0)
-        if isinstance(f.child, S.Emp):
-            return (1, _INF)
-        return (0, _INF)
-    if isinstance(f, S.And):
-        l1, h1 = _interval(f.left, store)
-        l2, h2 = _interval(f.right, store)
-        hi = h1 if h2 is _INF else (h2 if h1 is _INF else min(h1, h2))
-        return (max(l1, l2), hi)
-    if isinstance(f, S.Star):
-        l1, h1 = _interval(f.left, store)
-        l2, h2 = _interval(f.right, store)
-        hi = _INF if (h1 is _INF or h2 is _INF) else h1 + h2
-        return (l1 + l2, hi)
-    return (0, _INF)  # wand
+def _same(f, store) -> bool:
+    """Whether atom f's variables are one location: one variable, or equal
+    under store."""
+    return f.x == f.y or (store is not None and store[f.x] == store[f.y])
+
+
+_ATOMS = frozenset(S.ATOM_TYPES)
+_NONE = frozenset()
+_ANY = (0, _INF, _NONE)
+_UNSAT = (1, 0, _NONE)  # an empty interval: no model
+
+
+def _footprint(f: S.Formula, store, plain: bool = False):
+    """(lo, hi, must): every model of f under store has lo <= |dom| <= hi
+    and allocates every location of must; lo > hi when f has none.  With
+    store None must is empty and only store-free facts are read.  plain
+    reads sizes and cells through /\\ and * only, as the -* scan always has:
+    the sharper facts would make inexact -* answers exact, and change some
+    at cell bound 0, where alloc(x) holds unscanned."""
+    t = type(f)
+    spec = None if t in _ATOMS or store is None or f.wand_free else S.special_form(f)
+    if spec is not None:
+        # the cells the characterizations read: loop2(x, y) is a two-cell
+        # loop through s(x); next_eq and next_pointsto read h(s(x)), h(s(y))
+        if spec[0] == "alloc_inv":
+            return _ANY
+        if spec[0] == "loop2":
+            return (2, _INF, frozenset((store[spec[1]],)))
+        return (0, _INF, frozenset((store[spec[1]], store[spec[2]])))
+    if t is S.And or t is S.Star:
+        l1, h1, m1 = _footprint(f.left, store, plain)
+        l2, h2, m2 = _footprint(f.right, store, plain)
+        if t is S.And:
+            return (max(l1, l2), min(h1, h2), m1 | m2)
+        # a wand-free * cannot give a must-allocated cell to both sides (the
+        # allocation patterns' cells hold only when alloc(x) is decided)
+        if not plain and (l1 > h1 or l2 > h2 or (m1 & m2 and f.wand_free)):
+            return _UNSAT
+        return (l1 + l2, h1 + h2, m1 | m2)
+    if t is S.Not:
+        g, parts = f.child, None if plain else S.or_parts(f)
+        if type(g) is S.Not and not plain:
+            return _footprint(g.child, store)
+        if parts is not None:  # a disjunction; a side without models drops out
+            a, b = _footprint(parts[0], store), _footprint(parts[1], store)
+            if a[0] > a[1] or b[0] > b[1]:
+                return b if a[0] > a[1] else a
+            return (min(a[0], b[0]), max(a[1], b[1]), a[2] & b[2])
+        if type(g) is S.Eq and not plain:
+            return _UNSAT if _same(g, store) else _ANY
+        if type(g) is S.Emp:
+            return (1, _INF, _NONE)
+        v = _size_geq_value(g)
+        return _ANY if v is None else (0, v - 1, _NONE) if v >= 1 else _UNSAT
+    if t is S.Eq:
+        return _ANY if plain or store is None or _same(f, store) else _UNSAT
+    if t is S.Emp or t is S.Falsum:
+        return (0, 0, _NONE) if t is S.Emp else _UNSAT
+    if t is S.Ls and not plain and _same(f, store):
+        return (0, 0, _NONE)  # ls(x, x) holds only on emp
+    if (t is S.Ls or t is S.Reach) and (store is None or _same(f, store)):
+        return _ANY
+    if t in (S.PointsTo, S.ReachPlus, S.Ls, S.Reach):
+        return (1, _INF, _NONE if store is None else frozenset((store[f.x],)))
+    x = _alloc_pattern(f)
+    return _ANY if x is None or store is None else (0, _INF, frozenset((store[x],)))
 
 
 def _alloc_pattern(f: S.Formula) -> Optional[int]:
@@ -138,31 +177,6 @@ def _alloc_pattern(f: S.Formula) -> Optional[int]:
     ):
         return f.left.x
     return None
-
-
-def _must_alloc(f: S.Formula, store) -> frozenset:
-    """Locations allocated in every model of f."""
-    if isinstance(f, S.PointsTo):
-        return frozenset((store[f.x],))
-    if isinstance(f, S.ReachPlus):
-        return frozenset((store[f.x],))
-    if isinstance(f, (S.Ls, S.Reach)):
-        if store[f.x] != store[f.y]:
-            return frozenset((store[f.x],))
-        return frozenset()
-    spec = S.special_form(f)
-    if spec is not None:
-        if spec[0] in ("next_eq", "next_pointsto"):
-            return frozenset((store[spec[1]], store[spec[2]]))
-        if spec[0] == "loop2":
-            return frozenset((store[spec[1]],))
-        return frozenset()
-    if isinstance(f, (S.And, S.Star)):
-        return _must_alloc(f.left, store) | _must_alloc(f.right, store)
-    v = _alloc_pattern(f)
-    if v is not None:
-        return frozenset((store[v],))
-    return frozenset()
 
 
 def _conjuncts(f: S.Formula) -> list:
@@ -271,36 +285,28 @@ def _certificates(f: S.Formula, store, universe) -> Optional[list]:
     return None
 
 
-def _witness_need(f: S.Formula) -> Optional[int]:
+def _witness_need(f: S.Formula):
     """For extension-monotone f: a bound n such that whenever f holds on
     h + h1 it also holds on h + h1' for some h1' within h1 of at most n
-    cells.  None when no such bound is derived."""
+    cells; _INF when no such bound is derived."""
     if isinstance(f, (S.Truth, S.Falsum, S.Eq)):
         return 0
     if isinstance(f, S.PointsTo):
         return 1
     parts = S.or_parts(f)
     if parts is not None:
-        na, nb = _witness_need(parts[0]), _witness_need(parts[1])
-        if na is None or nb is None:
-            return None
-        return max(na, nb)
+        return max(_witness_need(parts[0]), _witness_need(parts[1]))
     if isinstance(f, S.Not):
-        return 0 if isinstance(f.child, S.Eq) else None
+        return 0 if isinstance(f.child, S.Eq) else _INF
     if isinstance(f, S.Star):
         if isinstance(f.right, S.Truth):
-            hi = _interval(f.left, None)[1]
-            return hi
+            return _footprint(f.left, None, plain=True)[1]
         if isinstance(f.left, S.Truth):
-            hi = _interval(f.right, None)[1]
-            return hi
-        return None
+            return _footprint(f.right, None, plain=True)[1]
+        return _INF
     if isinstance(f, S.And):
-        na, nb = _witness_need(f.left), _witness_need(f.right)
-        if na is None or nb is None:
-            return None
-        return na + nb
-    return None
+        return _witness_need(f.left) + _witness_need(f.right)
+    return _INF
 
 
 # ---------------------------------------------------------------------------
@@ -410,44 +416,42 @@ class _Evaluator:
 
     # fast path: wand-free, plain booleans -----------------------------------
     def ev(self, store: dict, heap: dict, f: S.Formula) -> bool:
-        if isinstance(f, S.Emp):
-            return not heap
-        if isinstance(f, S.Truth):
-            return True
-        if isinstance(f, S.Falsum):
-            return False
-        if isinstance(f, S.Eq):
-            return store[f.x] == store[f.y]
-        if isinstance(f, S.PointsTo):
-            return heap.get(store[f.x]) == store[f.y]
-        if isinstance(f, S.Ls):
-            return _ls(heap, store[f.x], store[f.y])
-        if isinstance(f, S.Reach):
-            return _reach(heap, store[f.x], store[f.y], strict=False)
-        if isinstance(f, S.ReachPlus):
-            return _reach(heap, store[f.x], store[f.y], strict=True)
-        if isinstance(f, S.Not):
-            return not self.ev(store, heap, f.child)
-        if isinstance(f, S.And):
+        t = type(f)  # the node classes are final: dispatch by identity
+        if t is S.And:
             return self.ev(store, heap, f.left) and self.ev(store, heap, f.right)
-        if isinstance(f, S.Star):
+        if t is S.Not:
+            return not self.ev(store, heap, f.child)
+        if t is S.Star:
             return self._star_blocks(store, heap, f)
+        if t is S.Eq:
+            return store[f.x] == store[f.y]
+        if t is S.PointsTo:
+            return heap.get(store[f.x]) == store[f.y]
+        if t is S.ReachPlus:
+            return _reach(heap, store[f.x], store[f.y], strict=True)
+        if t is S.Emp:
+            return not heap
+        if t is S.Truth:
+            return True
+        if t is S.Falsum:
+            return False
+        if t is S.Ls:
+            return _ls(heap, store[f.x], store[f.y])
+        if t is S.Reach:
+            return _reach(heap, store[f.x], store[f.y], strict=False)
         raise WandForbiddenError("separating implication outside bounded mode")
 
     def _star_blocks(self, store: dict, heap: dict, f: S.Star) -> bool:
         n = len(heap)
-        lo_l, hi_l = _interval(f.left, store)
-        lo_r, hi_r = _interval(f.right, store)
-        lower = max(lo_l, n - (n if hi_r is _INF else hi_r))
-        upper = min(n if hi_l is _INF else hi_l, n - lo_r)
-        if lower > upper:
-            return False
-        # cells every model of a side allocates: they must lie in the heap,
-        # on one side only, and each fixes its block (the singleton holding
-        # the only cell tagged ("c", l)) to count 1 on the left, 0 on the right
-        must_l = _must_alloc(f.left, store)
-        must_r = _must_alloc(f.right, store)
-        if must_l & must_r or any(l not in heap for l in must_l | must_r):
+        lo_l, hi_l, must_l = _footprint(f.left, store)
+        lo_r, hi_r, must_r = _footprint(f.right, store)
+        lower = max(lo_l, n - hi_r)
+        upper = min(hi_l, n - lo_r)
+        # a side without models makes lower > upper; cells every model of a
+        # side allocates must lie in the heap, on one side only, and each
+        # fixes its block (the singleton holding the only cell tagged
+        # ("c", l)) to count 1 on the left, 0 on the right
+        if lower > upper or must_l & must_r or any(l not in heap for l in must_l | must_r):
             return False
         vals = sorted({store[v] for v in f.vars})
         tags: Dict[int, list] = {}
@@ -552,10 +556,10 @@ class _Evaluator:
     def _star_general(self, store: dict, heap: dict, f: S.Star) -> Tuple[bool, bool]:
         cells = sorted(heap)
         n = len(cells)
-        lo_l, hi_l = _interval(f.left, store)
-        lo_r, hi_r = _interval(f.right, store)
-        lower = max(lo_l, n - (n if hi_r is _INF else hi_r))
-        upper = min(n if hi_l is _INF else hi_l, n - lo_r)
+        lo_l, hi_l, _ = _footprint(f.left, store)
+        lo_r, hi_r, _ = _footprint(f.right, store)
+        lower = max(lo_l, n - hi_r)
+        upper = min(hi_l, n - lo_r)
         inexact_true = False
         refutation_exact = True
         for k in range(max(lower, 0), upper + 1):
@@ -591,10 +595,9 @@ class _Evaluator:
         if x is not None and self.policy.cell_bound >= 1:
             return (store[x] in heap, True)
         A, B = f.left, f.right
-        lo_a, hi_a = _interval(A, store)
-        if hi_a is not _INF and lo_a > hi_a:
+        lo_a, hi_a, musts = _footprint(A, store, plain=True)
+        if lo_a > hi_a:
             return (True, True)
-        musts = _must_alloc(A, store)
         if any(l in heap for l in musts):
             return (True, True)
 
@@ -615,9 +618,7 @@ class _Evaluator:
         )
         fresh = fresh_locations(relevant, self.policy.fresh_locations)
 
-        kmax = self.policy.cell_bound
-        if hi_a is not _INF:
-            kmax = min(kmax, hi_a)
+        kmax = min(self.policy.cell_bound, hi_a)
         result = None
         neg_b = B.child if isinstance(B, S.Not) else S.Not(B)
         if isinstance(A, S.Truth):
@@ -625,9 +626,7 @@ class _Evaluator:
             if certs is not None:
                 result = self._wand_by_certificates(store, heap, certs, kmax)
             else:
-                need = _witness_need(neg_b)
-                if need is not None:
-                    kmax = min(kmax, need)
+                kmax = min(kmax, _witness_need(neg_b))
         if result is None:
             result = self._wand_scan(
                 store, heap, A, neg_b, B, relevant, fresh, musts, lo_a, kmax
@@ -656,7 +655,7 @@ class _Evaluator:
             return (True, True)
         banned_tgt |= union_tgt_banned
         forced_set = set(musts)
-        for l in _must_alloc(neg_b, store):
+        for l in _footprint(neg_b, store, plain=True)[2]:
             if l not in heap:
                 forced_set.add(l)
         pinned: Dict[int, int] = {}

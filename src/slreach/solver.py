@@ -159,9 +159,16 @@ def _materialize(q: int, desc: tuple) -> MemoryState:
     return MemoryState(q, store, Heap(heap))
 
 
+# The most states a space keeps materialized between sweeps: the largest
+# space at q <= 2, alpha <= 4 has 2005; q = 3, alpha = 3 has 122 792, about
+# 110 MB materialized.
+_KEEP_STATES = 2005
+
+
 class _CanonicalSpace:
     """The canonical states of (q, alpha), ascending by cells, each
-    materialized on first use and kept for later sweeps."""
+    materialized on first use; kept for later sweeps when there are at most
+    _KEEP_STATES of them, else rebuilt by every sweep."""
 
     def __init__(self, q: int, alpha: int):
         self.q = q
@@ -169,10 +176,15 @@ class _CanonicalSpace:
         self.states: List[MemoryState] = []
 
     def __iter__(self) -> Iterator[MemoryState]:
+        keep = len(self.descs) <= _KEEP_STATES
         for i, d in enumerate(self.descs):
-            if i == len(self.states):
-                self.states.append(_materialize(self.q, d))
-            yield self.states[i]
+            if i < len(self.states):
+                yield self.states[i]
+                continue
+            m = _materialize(self.q, d)
+            if keep:
+                self.states.append(m)
+            yield m
 
 
 _REP_CACHES: Dict[Tuple[int, int], _CanonicalSpace] = {}

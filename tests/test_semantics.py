@@ -10,6 +10,7 @@ from slreach.semantics import (
     FORBID,
     WandForbiddenError,
     WandPolicy,
+    _footprint,
     check,
     check_exact,
     sl_star_wand_bound,
@@ -305,3 +306,52 @@ def test_nested_alloc_matches_naive(data):
     cb, fr = data.draw(st.integers(0, 2)), data.draw(st.integers(1, 2))
     got = check(m, f, WandPolicy("bounded", cb, fr)).truth
     assert got == naive_check(m.store, dict(m.heap.cells), f, cb, fr), (m, f, cb, fr)
+
+
+@st.composite
+def _footprint_formulae(draw, q):
+    """Wand-free formulae built from the shapes _footprint reads: atoms
+    (ls(x, x) and x = y among them), not emp, size >= k, not, not not, or,
+    /\\ and *, where a * sometimes gives both sides a cell of one variable."""
+    var = st.integers(1, q)
+
+    def tree(depth):
+        if depth == 0 or draw(st.integers(0, 3)) == 0:
+            kind = draw(st.sampled_from(
+                (S.Eq, S.PointsTo, S.Ls, S.Reach, S.ReachPlus, "lsxx", "const")))
+            if kind == "lsxx":
+                x = draw(var)
+                return S.Ls(x, x)
+            if kind == "const":
+                return draw(st.sampled_from(
+                    (S.EMP, S.TRUE, S.FALSE, S.Not(S.EMP), S.size_geq(1), S.size_geq(2))))
+            return kind(draw(var), draw(var))
+        op = draw(st.sampled_from(("not", "notnot", "or", "and", "star", "shared")))
+        if op in ("not", "notnot"):
+            g = S.Not(tree(depth - 1))
+            return S.Not(g) if op == "notnot" else g
+        a, b = tree(depth - 1), tree(depth - 1)
+        if op == "shared":
+            x = draw(var)
+            a, b = S.And(a, S.PointsTo(x, draw(var))), S.And(b, S.ReachPlus(x, draw(var)))
+        return {"or": S.f_or, "and": S.And}.get(op, S.Star)(a, b)
+
+    return tree(3)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_footprint_is_sound(data):
+    # every model lies inside the footprint, so an empty footprint (lo > hi)
+    # means no model; ls(x, x) holds only on emp, so f * ls(x, x) has f's
+    # footprint
+    m = data.draw(random_states(max_q=3, max_loc=4, max_cells=5))
+    f = data.draw(_footprint_formulae(m.q))
+    heap = dict(m.heap.cells)
+    lo, hi, must = _footprint(f, m.store)
+    if naive_check(m.store, heap, f):
+        assert lo <= len(heap) <= hi and must <= heap.keys(), (m, f, lo, hi, must)
+    assert lo <= hi or not check_exact(m, f), (m, f)
+    x = data.draw(st.integers(1, m.q))
+    if lo <= hi:
+        assert _footprint(S.Star(f, S.Ls(x, x)), m.store) == (lo, hi, must), (m, f)

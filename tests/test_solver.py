@@ -208,8 +208,9 @@ def _q3_corpus():
 def test_q3_corpus_agrees_with_brute_force():
     corpus = list(_q3_corpus())
     assert {v for v, _ in corpus} == {"sat", "unsat"}
+    assert sum(msize(f) == 3 for _, f in corpus) >= 8
     for verdict, f in corpus:
-        assert max(f.vars) == 3 and msize(f) <= 2, f
+        assert max(f.vars) == 3 and msize(f) <= 3, f
         mine = sat_reachplus(f)
         oracle = brute_sat(f, 3, 4)
         assert mine.status == verdict, f
@@ -218,3 +219,23 @@ def test_q3_corpus_agrees_with_brute_force():
         if mine.is_sat:
             assert check_exact(mine.model, f)
             assert len(mine.model.heap) <= len(oracle.model.heap)
+
+
+def test_large_canonical_spaces_keep_no_states():
+    # a q = 3, memory-size-3 sweep materializes each of its 122 792 states
+    # when it reaches it and keeps none; spaces of at most 2005 keep theirs
+    f = parse("(x2 ~> x1 /\\ (x2 ~> x2 /\\ x3 ~> x3)) * (reach+(x3,x2) * (x1 = x1))")
+    assert msize(f) == 3
+    r = sat_reachplus(f)
+    assert r.status == "unsat" and r.explored == 122792
+    assert solver.canonical_states(3, 3).states == []
+    small = solver.canonical_states(2, 4)
+    assert len(list(small)) == len(small.states) == 2005
+
+
+def test_ls_entailment_with_an_empty_side():
+    # ls(x1,x1) holds only on emp, so the left side is ls(x1,x2) and the
+    # entailment holds; brute force finds no counterexample either
+    f, g = parse("(ls(x1,x2)) * (ls(x1,x1))"), parse("(ls(x2,x2)) * (true)")
+    assert entails(f, g) is True
+    assert brute_sat(S.And(f, S.Not(g)), 3, 4).status == "unknown"
