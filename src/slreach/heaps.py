@@ -42,9 +42,6 @@ class Heap:
     def domain(self) -> frozenset:
         return frozenset(self._cells)
 
-    def range(self) -> frozenset:
-        return frozenset(self._cells.values())
-
     def locations(self) -> frozenset:
         return frozenset(self._cells) | frozenset(self._cells.values())
 
@@ -53,14 +50,6 @@ class Heap:
 
     def items(self):
         return self._cells.items()
-
-    def restrict(self, locs: Iterable[int]) -> "Heap":
-        keep = set(locs)
-        return Heap({k: v for k, v in self._cells.items() if k in keep})
-
-    def without(self, locs: Iterable[int]) -> "Heap":
-        drop = set(locs)
-        return Heap({k: v for k, v in self._cells.items() if k not in drop})
 
     def __contains__(self, loc: int) -> bool:
         return loc in self._cells
@@ -110,9 +99,6 @@ class MemoryState:
         self.store = store
         self.heap = heap
         self._hash = None
-
-    def value(self, var: int) -> int:
-        return self.store[var]
 
     def locations(self) -> frozenset:
         return frozenset(self.store.values()) | self.heap.locations()

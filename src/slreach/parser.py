@@ -17,7 +17,9 @@ Grammar (ASCII), loosest to tightest binding::
           | 'safe(x1,...,x2k)'
 
 '-o' is septraction.  \\/, => and all macro calls are sugar: they are
-normalized/expanded during parsing and do not appear in the AST.
+normalized/expanded during parsing and do not appear in the AST.  The
+call forms other than size and safe, with their argument patterns, are read
+from the table _CALLS, which also names ls, reach and reach+ for printing.
 """
 
 from __future__ import annotations
@@ -44,11 +46,24 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_KEYWORDS = {
-    "emp", "true", "false", "not", "ls", "reach", "reach+", "alloc",
-    "allocinv", "safe", "size", "loop2", "nexteq", "nextpt", "reacheq",
-    "reachle", "forall",
+# Call forms: keyword -> (builder, argument pattern).  In a pattern, v reads
+# a variable, n a natural, and any other character is that separator; the
+# parentheses around the arguments are implied.
+_CALLS = {
+    "ls": (S.Ls, "v,v"),
+    "reach": (S.Reach, "v,v"),
+    "reach+": (S.ReachPlus, "v,v"),
+    "alloc": (S.alloc, "v"),
+    "allocinv": (S.alloc_inv, "v;v"),
+    "loop2": (S.loop2, "v;v"),
+    "nexteq": (S.next_eq, "v,v"),
+    "nextpt": (S.next_pointsto, "v,v;v"),
+    "reacheq": (S.reach_eq, "v,v;n"),
+    "reachle": (S.reach_leq, "v,v;n"),
 }
+_CONSTANTS = {"emp": S.EMP, "true": S.TRUE, "false": S.FALSE}
+_SIZES = {">=": S.size_geq, "<=": S.size_leq, "=": S.size_eq}
+_KEYWORDS = {*_CALLS, *_CONSTANTS, "not", "size", "safe", "forall"}
 
 _VAR_RE = re.compile(r"^x([1-9]\d*)$")
 
@@ -163,14 +178,6 @@ class _Parser:
         tok = self.expect("int")
         return int(tok[1])
 
-    def var_pair(self):
-        self.expect("op", "(")
-        x = self.var()
-        self.expect("op", ",")
-        y = self.var()
-        self.expect("op", ")")
-        return x, y
-
     def atom(self) -> S.Formula:
         tok = self.next()
         kind, val, pos = tok
@@ -179,60 +186,26 @@ class _Parser:
             self.expect("op", ")")
             return f
         if kind == "kw":
-            if val == "emp":
-                return S.EMP
-            if val == "true":
-                return S.TRUE
-            if val == "false":
-                return S.FALSE
-            if val == "ls":
-                return S.Ls(*self.var_pair())
-            if val == "reach":
-                return S.Reach(*self.var_pair())
-            if val == "reach+":
-                return S.ReachPlus(*self.var_pair())
-            if val == "alloc":
+            if val in _CONSTANTS:
+                return _CONSTANTS[val]
+            if val in _CALLS:
+                build, pattern = _CALLS[val]
                 self.expect("op", "(")
-                x = self.var()
+                args = []
+                for c in pattern:
+                    if c == "v":
+                        args.append(self.var())
+                    elif c == "n":
+                        args.append(self.nat())
+                    else:
+                        self.expect("op", c)
                 self.expect("op", ")")
-                return S.alloc(x)
+                return build(*args)
             if val == "size":
                 op = self.next()
-                if op[0] != "op" or op[1] not in (">=", "<=", "="):
+                if op[0] != "op" or op[1] not in _SIZES:
                     raise ParseError("expected >=, <= or = after size", op[2])
-                n = self.nat()
-                return {
-                    ">=": S.size_geq,
-                    "<=": S.size_leq,
-                    "=": S.size_eq,
-                }[op[1]](n)
-            if val in ("allocinv", "loop2"):
-                self.expect("op", "(")
-                x = self.var()
-                self.expect("op", ";")
-                y = self.var()
-                self.expect("op", ")")
-                return (S.alloc_inv if val == "allocinv" else S.loop2)(x, y)
-            if val == "nexteq":
-                return S.next_eq(*self.var_pair())
-            if val == "nextpt":
-                self.expect("op", "(")
-                x = self.var()
-                self.expect("op", ",")
-                y = self.var()
-                self.expect("op", ";")
-                z = self.var()
-                self.expect("op", ")")
-                return S.next_pointsto(x, y, z)
-            if val in ("reacheq", "reachle"):
-                self.expect("op", "(")
-                x = self.var()
-                self.expect("op", ",")
-                y = self.var()
-                self.expect("op", ";")
-                n = self.nat()
-                self.expect("op", ")")
-                return (S.reach_eq if val == "reacheq" else S.reach_leq)(x, y, n)
+                return _SIZES[op[1]](self.nat())
             if val == "safe":
                 self.expect("op", "(")
                 xs = [self.var()]
@@ -273,26 +246,22 @@ def to_text(f: S.Formula) -> str:
     return _pp(f, 0)
 
 
+_CONSTANT_NAMES = {c: kw for kw, c in _CONSTANTS.items()}
+_CALL_NAMES = {build: kw for kw, (build, _) in _CALLS.items()}
+
+
 # precedence levels: wand 0, and 2, star 3, unary 4, atom 5
 def _pp(f: S.Formula, level: int) -> str:
-    if isinstance(f, S.Emp):
-        return "emp"
-    if isinstance(f, S.Truth):
-        return "true"
-    if isinstance(f, S.Falsum):
-        return "false"
+    if f in _CONSTANT_NAMES:
+        return _CONSTANT_NAMES[f]
     if isinstance(f, S.Eq):
         s = f"x{f.x} = x{f.y}"
         return s if level < 4 else f"({s})"
     if isinstance(f, S.PointsTo):
         s = f"x{f.x} ~> x{f.y}"
         return s if level < 4 else f"({s})"
-    if isinstance(f, S.Ls):
-        return f"ls(x{f.x},x{f.y})"
-    if isinstance(f, S.Reach):
-        return f"reach(x{f.x},x{f.y})"
-    if isinstance(f, S.ReachPlus):
-        return f"reach+(x{f.x},x{f.y})"
+    if type(f) in _CALL_NAMES:  # ls, reach, reach+: the node classes in _CALLS
+        return f"{_CALL_NAMES[type(f)]}(x{f.x},x{f.y})"
     if isinstance(f, S.Not):
         return f"not {_pp(f.child, 4)}"
     if isinstance(f, S.And):

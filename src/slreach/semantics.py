@@ -34,9 +34,13 @@ workload named, seed 1):
   of all_states(2, range(4), 2)); not alloc_inv(x, y) bans s(x) as a
   target (translation round 1.6 s); next_eq pins a successor (8.6 s).
 * true -* not psi with psi a monotone bracket pattern is decided from psi's
-  minimal witnesses (_certificates; wand round 4.4 s of CPU, not 2.1 s); for
-  other extension-monotone psi, _witness_need caps the extension size (33
-  of 4000 random -* checks lose their exact flag without it).
+  minimal witnesses (_certificates; wand round 4.4 s of CPU, not 2.1 s).  A
+  refutation is exact; so is "true" when no witness agrees with the heap
+  and psi has no path bracket (ls under size = gamma), the one pattern whose
+  witnesses depend on the scanned locations; "true" from a witness that
+  needs more cells than the bound is inexact.  For other extension-monotone
+  psi, _witness_need caps the extension size (33 of 4000 random -* checks
+  lose their exact flag without it).
 """
 
 from __future__ import annotations
@@ -584,8 +588,6 @@ class _Evaluator:
         return (False, refutation_exact)
 
     def _wand(self, store: dict, heap: dict, f: S.Wand) -> Tuple[bool, bool]:
-        if self.policy.mode == "forbid":
-            raise WandForbiddenError("separating implication outside bounded mode")
         # alloc(x) = (x ~> x) -* false, decided as the scan below would: if
         # s(x) is allocated no disjoint extension satisfies x ~> x (true,
         # exact); otherwise the one-cell extension {s(x): s(x)} lies within
@@ -624,7 +626,7 @@ class _Evaluator:
         if isinstance(A, S.Truth):
             certs = _certificates(neg_b, store, relevant + fresh)
             if certs is not None:
-                result = self._wand_by_certificates(store, heap, certs, kmax)
+                result = self._wand_by_certificates(store, heap, certs, kmax, neg_b)
             else:
                 kmax = min(kmax, _witness_need(neg_b))
         if result is None:
@@ -634,16 +636,23 @@ class _Evaluator:
         _WAND_MEMO[key] = result
         return result
 
-    def _wand_by_certificates(self, store, heap, certs, kmax):
+    def _wand_by_certificates(self, store, heap, certs, kmax, psi):
         """true -* not(psi) where psi holds exactly on certificate supersets:
-        refuted iff some certificate extends the heap within the bound."""
+        refuted iff some certificate extends the heap within the bound.  If
+        no certificate agrees with the heap, no extension of any size
+        satisfies psi: exact, unless psi has a path bracket, whose
+        certificates only run through the scanned locations."""
+        consistent = False
         for cert in certs:
             if any(heap.get(l, t) != t for l, t in cert.items()):
                 continue
             extra = sum(1 for l in cert if l not in heap)
             if extra <= kmax:
                 return (False, True)
-        return (True, False)
+            consistent = True
+        if consistent:
+            return (True, False)
+        return (True, not any(isinstance(g, S.Ls) for g in S.subformulas(psi)))
 
     def _wand_scan(self, store, heap, A, neg_b, B, relevant, fresh, musts, lo_a, kmax):
         banned_src, banned_tgt, _ = _conjunct_facts(A, store)

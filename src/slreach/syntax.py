@@ -2,8 +2,8 @@
 
 Atoms: emp, true, false, x = y, x ~> y (points-to, non-exact), ls(x,y),
 reach(x,y), reach+(x,y).  Connectives: not, /\\, * and -*.  Disjunction,
-implication, iff and septraction are sugar normalized away at construction
-time, so the core AST stays small for the checker.
+implication and septraction are sugar normalized away at construction time,
+so the core AST stays small for the checker.
 
 Nodes are hash-consed: building a formula returns the one existing node
 that is structurally equal to it, if any, so structurally equal formulae are
@@ -233,10 +233,6 @@ def f_and(*parts: Formula) -> Formula:
 
 def f_implies(a: Formula, b: Formula) -> Formula:
     return Not(And(a, Not(b)))
-
-
-def f_iff(a: Formula, b: Formula) -> Formula:
-    return And(f_implies(a, b), f_implies(b, a))
 
 
 def or_parts(f: Formula):

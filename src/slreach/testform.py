@@ -18,6 +18,7 @@ from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from . import syntax as S
 from .heaps import Heap, MemoryState, fresh_locations
+from .semantics import _size_geq_value
 from .support import SupportGraph, Term, all_terms, build_support_graph
 
 
@@ -323,7 +324,7 @@ def encode_atomic(f: S.Formula, q: int, alpha: int) -> TestFormula:
                 )
             )
         return TestFormula.disj(disjuncts)
-    beta = _as_size_geq(f)
+    beta = _size_geq_value(f)
     if beta is not None:
         if beta == 0:
             return TestFormula("true")
@@ -346,12 +347,6 @@ def encode_atomic(f: S.Formula, q: int, alpha: int) -> TestFormula:
                 )
         return TestFormula.disj(disjuncts)
     raise ValueError("encode_atomic supports reach+(x,y), emp and size >= beta")
-
-
-def _as_size_geq(f: S.Formula) -> Optional[int]:
-    from .semantics import _size_geq_value
-
-    return _size_geq_value(f)
 
 
 def _compositions(terms: List[Term], total: int, cap: int):

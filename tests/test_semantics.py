@@ -201,6 +201,26 @@ def test_exactness_flags():
     # exhausting the bound without a counterexample is not exact
     r = check(m, S.Wand(parse("size=1"), parse("size=2")), WandPolicy("bounded", 1, 1))
     assert r.truth is True and r.exact is False
+    # no extension of any size satisfies psi: true -* not psi holds exactly,
+    # whether psi's certificates or the scan decide it
+    m3 = MemoryState(2, {1: 0, 2: 1}, Heap({0: 1}))
+    for text in ("true -* not (x1 = x2)", "true -* not (x1 ~> x1)", "true -* not false"):
+        assert check(m3, parse(text), WandPolicy()) == (True, True), text
+    # every exact answer on true -* not psi holds at a larger bound too
+    pol = WandPolicy("bounded", 1, 1)
+    psis = [
+        parse("x1 = x2"), parse("x1 ~> x1"), parse("x1 ~> x2 /\\ x2 ~> x1"),
+        parse("x1 = x2 \\/ x2 ~> x2"), parse("reacheq(x1,x2; 1)"),
+        parse("reacheq(x1,x2; 2)"), parse("x1 = x1 /\\ reacheq(x2,x1; 0)"),
+    ]
+    for psi in psis:
+        f = S.Wand(S.TRUE, S.Not(psi))
+        for m in all_states(2, range(3), 1):
+            r = check(m, f, pol)
+            if r.exact:
+                want = naive_check(m.store, dict(m.heap.cells), f,
+                                   pol.cell_bound + 2, pol.fresh_locations + 2)
+                assert r.truth == want, (psi, m)
 
 
 def test_truth_wand_without_certificates():

@@ -124,6 +124,40 @@ def test_parse_errors_carry_position():
         parse("foo(x1)")
     with pytest.raises(ParseError):
         parse("x0 = x1")
+    # every call form with the wrong separator, a missing ')', a natural
+    # where a variable belongs and a variable where a natural belongs
+    sep, close = "expected {!r}, found {!r}", "expected ')', found 'end of input'"
+    var, nat = "expected 'var', found {!r}", "expected 'int', found {!r}"
+    for text, message, position in [
+        ("ls(x1;x2)", sep.format(",", ";"), 5), ("ls(x1,x2", close, 8),
+        ("ls(1,x2)", var.format("1"), 3),
+        ("reach(x1;x2)", sep.format(",", ";"), 8), ("reach(x1,x2", close, 11),
+        ("reach(x1,2)", var.format("2"), 9),
+        ("reach+(x1;x2)", sep.format(",", ";"), 9), ("reach+(x1,x2", close, 12),
+        ("reach+(1,x2)", var.format("1"), 7),
+        ("alloc(x1,x2)", sep.format(")", ","), 8), ("alloc(x1", close, 8),
+        ("alloc(1)", var.format("1"), 6),
+        ("allocinv(x1,x2)", sep.format(";", ","), 11), ("allocinv(x1;x2", close, 14),
+        ("allocinv(x1;2)", var.format("2"), 12),
+        ("loop2(x1,x2)", sep.format(";", ","), 8), ("loop2(x1;x2", close, 11),
+        ("loop2(1;x2)", var.format("1"), 6),
+        ("nexteq(x1;x2)", sep.format(",", ";"), 9), ("nexteq(x1,x2", close, 12),
+        ("nexteq(x1,2)", var.format("2"), 10),
+        ("nextpt(x1,x2,x3)", sep.format(";", ","), 12), ("nextpt(x1,x2;x3", close, 15),
+        ("nextpt(x1,x2;3)", var.format("3"), 13),
+        ("reacheq(x1,x2,2)", sep.format(";", ","), 13), ("reacheq(x1,x2;2", close, 15),
+        ("reacheq(1,x2;2)", var.format("1"), 8), ("reacheq(x1,x2;x3)", nat.format("x3"), 14),
+        ("reachle(x1;x2;2)", sep.format(",", ";"), 10), ("reachle(x1,x2;2", close, 15),
+        ("reachle(x1,2;2)", var.format("2"), 11), ("reachle(x1,x2;x1)", nat.format("x1"), 14),
+        ("size~>2", "expected >=, <= or = after size", 4), ("size>=x1", nat.format("x1"), 6),
+        ("safe(x1;x2)", sep.format(")", ";"), 7), ("safe(x1,x2", close, 10),
+        ("safe(x1,2)", var.format("2"), 8),
+    ]:
+        with pytest.raises(ParseError) as e:
+            parse(text)
+        assert (str(e.value), e.value.position) == (
+            f"{message} (at position {position})", position
+        ), text
 
 
 @pytest.mark.parametrize(
@@ -136,6 +170,14 @@ def test_parse_errors_carry_position():
         "safe(x1,x2)",
         "reach+(x1,x1) /\\ true * x1 = x2",
         "nextpt(x1,x2; x3)",
+        "reach(x2,x1) * ls(x1,x1)",
+        "alloc(x1)",
+        "allocinv(x1; x2)",
+        "loop2(x2; x1)",
+        "nexteq(x1,x2)",
+        "reacheq(x1,x2; 2)",
+        "reachle(x2,x1; 3)",
+        "size>=2 /\\ size<=3",
     ],
 )
 def test_print_parse_roundtrip(text):
