@@ -18,8 +18,11 @@ workload named, seed 1):
   round from 2.3 s to 6.1 s.
 * Fresh locations enter an extension in rank order (no permutation twins),
   and * on wand-free sides splits per constraint block (cells grouped by the
-  variable cells and minimal variable-to-variable paths they lie on), the
-  variable cells a side must allocate going to that side.
+  variable cells and minimal variable-to-variable paths they lie on).
+* Every * gives each side the cells it must allocate and splits the others
+  (_split), with -* in a side at cell bound >= 1 only: a translation round
+  takes 0.52 s of CPU, not 0.44 s, without it for such sides, and
+  (x1 ~> x2) -* (x1 ~> x2) on its slowest state 0.17 s, not 0.06 s.
 * Each * side is summarized once (_footprint: sizes, must-allocated cells,
   no model at all) through false, false (dis)equalities, ls(x, x) (emp
   only), not not, disjunctions and wand-free * sides sharing a must cell;
@@ -33,14 +36,17 @@ workload named, seed 1):
   (without it, not alloc(x1) -* not (x1 ~> x2) is exact on 208, not 1184,
   of all_states(2, range(4), 2)); not alloc_inv(x, y) bans s(x) as a
   target (translation round 1.6 s); next_eq pins a successor (8.6 s).
+  Each candidate is checked only on the conjuncts of the left side that
+  these facts leave open (translation round 0.73 s of CPU, not 0.44 s; the
+  slowest state above 0.2 s).
 * true -* not psi with psi a monotone bracket pattern is decided from psi's
   minimal witnesses (_certificates; wand round 4.4 s of CPU, not 2.1 s).  A
   refutation is exact; so is "true" when no witness agrees with the heap
-  and psi has no path bracket (ls under size = gamma), the one pattern whose
-  witnesses depend on the scanned locations; "true" from a witness that
-  needs more cells than the bound is inexact.  For other extension-monotone
-  psi, _witness_need caps the extension size (33 of 4000 random -* checks
-  lose their exact flag without it).
+  and psi has no path bracket (ls under size = gamma) with gamma >= 2, the
+  one pattern whose witnesses depend on the scanned locations; "true" from
+  a witness that needs more cells than the bound is inexact.  For other
+  extension-monotone psi, _witness_need caps the extension size (33 of
+  4000 random -* checks lose their exact flag without it).
 """
 
 from __future__ import annotations
@@ -171,6 +177,21 @@ def _footprint(f: S.Formula, store, plain: bool = False):
     return _ANY if x is None or store is None else (0, _INF, frozenset((store[x],)))
 
 
+def _split(store, heap, f: S.Star, musts: bool):
+    """(lower, upper, must_l, must_r): the left part's size range and the
+    cells each side must take (a side lacking one is false) when heap splits
+    for f; None when no split can do.  musts False reads sizes only."""
+    n = len(heap)
+    lo_l, hi_l, must_l = _footprint(f.left, store)
+    lo_r, hi_r, must_r = _footprint(f.right, store)
+    if not musts:
+        must_l = must_r = _NONE
+    lower, upper = max(lo_l, n - hi_r), min(hi_l, n - lo_r)
+    if lower > upper or must_l & must_r or any(l not in heap for l in must_l | must_r):
+        return None
+    return lower, upper, must_l, must_r
+
+
 def _alloc_pattern(f: S.Formula) -> Optional[int]:
     """x when f is the allocation formula (x ~> x) -* false."""
     if (
@@ -196,24 +217,39 @@ def _conjuncts(f: S.Formula) -> list:
     return out
 
 
-def _conjunct_facts(f: S.Formula, store):
+def _conjunct_facts(f: S.Formula, store, policy: WandPolicy):
     """Read off f's conjuncts: locations unallocated (not alloc(x)), without
-    a predecessor (not alloc_inv(x, y), valid when s(x) != s(y)), and the
-    pairs (s(x), s(y)) of the next_eq(x, y) conjuncts."""
-    no_alloc, no_pred, next_eqs = set(), set(), []
+    a predecessor (not alloc_inv(x, y), valid when s(x) != s(y)), the pairs
+    (s(x), s(y)) of the next_eq(x, y) conjuncts, and the conjuncts a -* scan
+    with left side f must check.  The rest hold exactly on every candidate:
+    alloc(x) (s(x) forced or pinned) and not alloc(x) (banned as a source)
+    at cell bound >= 1, not alloc_inv(x, y) under macro shortcuts (s(x)
+    banned as a target), and store-only (dis)equalities that hold."""
+    decided = policy.cell_bound >= 1
+    no_alloc, no_pred, next_eqs, open_ = set(), set(), [], []
     for g in _conjuncts(f):
-        if isinstance(g, S.Not):
-            x = _alloc_pattern(g.child)
-            spec = S.special_form(g.child)
+        t = type(g)
+        if t is S.Not:
+            c = g.child
+            x, spec = _alloc_pattern(c), S.special_form(c)
             if x is not None:
                 no_alloc.add(store[x])
+                if decided:
+                    continue
             elif spec and spec[0] == "alloc_inv" and store[spec[1]] != store[spec[2]]:
                 no_pred.add(store[spec[1]])
+                if policy.macro_shortcuts:
+                    continue
+            elif type(c) is S.Eq and not _same(c, store):
+                continue
+        elif (t is S.Eq and _same(g, store)) or (decided and _alloc_pattern(g) is not None):
+            continue
         else:
             spec = S.special_form(g)
             if spec and spec[0] == "next_eq":
                 next_eqs.append((store[spec[1]], store[spec[2]]))
-    return no_alloc, no_pred, next_eqs
+        open_.append(g)
+    return no_alloc, no_pred, next_eqs, open_
 
 
 def _size_eq_value(f: S.Formula) -> Optional[int]:
@@ -224,6 +260,12 @@ def _size_eq_value(f: S.Formula) -> Optional[int]:
         if hi is not None and lo is not None and hi == lo + 1:
             return lo
     return None
+
+
+def _bracket_gamma(f: S.Formula) -> Optional[int]:
+    """gamma when f is the path bracket (size = gamma /\\ ls(x, y)) * true."""
+    g = f.left if type(f) is S.Star and type(f.right) is S.Truth else None
+    return _size_eq_value(g.left) if type(g) is S.And and type(g.right) is S.Ls else None
 
 
 def _certificates(f: S.Formula, store, universe) -> Optional[list]:
@@ -257,15 +299,8 @@ def _certificates(f: S.Formula, store, universe) -> Optional[list]:
                     merged.update(b)
                     out.append(merged)
         return out
-    if (
-        isinstance(f, S.Star)
-        and isinstance(f.right, S.Truth)
-        and isinstance(f.left, S.And)
-        and isinstance(f.left.right, S.Ls)
-    ):
-        gamma = _size_eq_value(f.left.left)
-        if gamma is None:
-            return None
+    gamma = _bracket_gamma(f)
+    if gamma is not None:
         a, b = store[f.left.right.x], store[f.left.right.y]
         if gamma == 0:
             return [{}] if a == b else []
@@ -446,17 +481,12 @@ class _Evaluator:
         raise WandForbiddenError("separating implication outside bounded mode")
 
     def _star_blocks(self, store: dict, heap: dict, f: S.Star) -> bool:
-        n = len(heap)
-        lo_l, hi_l, must_l = _footprint(f.left, store)
-        lo_r, hi_r, must_r = _footprint(f.right, store)
-        lower = max(lo_l, n - hi_r)
-        upper = min(hi_l, n - lo_r)
-        # a side without models makes lower > upper; cells every model of a
-        # side allocates must lie in the heap, on one side only, and each
-        # fixes its block (the singleton holding the only cell tagged
-        # ("c", l)) to count 1 on the left, 0 on the right
-        if lower > upper or must_l & must_r or any(l not in heap for l in must_l | must_r):
+        # each must cell fixes its block (the singleton holding the only
+        # cell tagged ("c", l)) to count 1 on the left, 0 on the right
+        split = _split(store, heap, f, True)
+        if split is None:
             return False
+        lower, upper, must_l, must_r = split
         vals = sorted({store[v] for v in f.vars})
         tags: Dict[int, list] = {}
         for l in vals:
@@ -544,45 +574,48 @@ class _Evaluator:
             v, e = self.evx(store, heap, f.child)
             return (not v, e)
         if isinstance(f, S.And):
-            va, ea = self.evx(store, heap, f.left)
-            if not va and ea:
-                return (False, True)
-            vb, eb = self.evx(store, heap, f.right)
-            if va and vb:
-                return (True, ea and eb)
-            return (False, (not va and ea) or (not vb and eb))
+            return self._all(store, heap, (f.left, f.right))
         if isinstance(f, S.Star):
             return self._star_general(store, heap, f)
         if isinstance(f, S.Wand):
             return self._wand(store, heap, f)
         raise TypeError(f"unknown node {f!r}")  # pragma: no cover
 
+    def _all(self, store: dict, heap: dict, parts: list) -> Tuple[bool, bool]:
+        """The and-chain of parts: true iff every part is, exact iff every
+        part is exact or some false part is."""
+        truth = exact = True
+        for g in parts:
+            v, e = self.evx(store, heap, g)
+            if not v and e:
+                return (False, True)
+            truth, exact = truth and v, exact and v and e
+        return (truth, exact)
+
     def _star_general(self, store: dict, heap: dict, f: S.Star) -> Tuple[bool, bool]:
-        cells = sorted(heap)
-        n = len(cells)
-        lo_l, hi_l, _ = _footprint(f.left, store)
-        lo_r, hi_r, _ = _footprint(f.right, store)
-        lower = max(lo_l, n - hi_r)
-        upper = min(hi_l, n - lo_r)
+        # with alloc scanned (cell bound 0) alloc(x) can hold without s(x)
+        split = _split(store, heap, f, self.policy.cell_bound >= 1)
+        if split is None:
+            return (False, True)
+        lower, upper, must_l, must_r = split
+        cells = sorted(l for l in heap if l not in must_l and l not in must_r)
         inexact_true = False
         refutation_exact = True
-        for k in range(max(lower, 0), upper + 1):
-            for combo in combinations(cells, k):
+        for k in range(max(lower, len(must_l)), upper + 1):
+            for combo in combinations(cells, k - len(must_l)):
                 sub = {c: heap[c] for c in combo}
+                sub.update((c, heap[c]) for c in must_l)
                 rest = {c: t for c, t in heap.items() if c not in sub}
                 va, ea = self.evx(store, sub, f.left)
-                if va:
-                    vb, eb = self.evx(store, rest, f.right)
-                    if vb:
-                        if ea and eb:
-                            return (True, True)
-                        inexact_true = True
-                    elif not eb:
-                        refutation_exact = False
-                elif not ea:
-                    vb, eb = self.evx(store, rest, f.right)
-                    if vb or not eb:
-                        refutation_exact = False
+                if not va and ea:
+                    continue
+                vb, eb = self.evx(store, rest, f.right)
+                if va and vb:
+                    if ea and eb:
+                        return (True, True)
+                    inexact_true = True
+                elif vb or not eb:
+                    refutation_exact = False
         if inexact_true:
             return (True, False)
         return (False, refutation_exact)
@@ -640,8 +673,9 @@ class _Evaluator:
         """true -* not(psi) where psi holds exactly on certificate supersets:
         refuted iff some certificate extends the heap within the bound.  If
         no certificate agrees with the heap, no extension of any size
-        satisfies psi: exact, unless psi has a path bracket, whose
-        certificates only run through the scanned locations."""
+        satisfies psi: exact, unless psi has a path bracket with gamma >= 2,
+        whose certificates only run through the scanned locations (gamma 0
+        and 1 give no certificate or one fixed by the store)."""
         consistent = False
         for cert in certs:
             if any(heap.get(l, t) != t for l, t in cert.items()):
@@ -652,14 +686,14 @@ class _Evaluator:
             consistent = True
         if consistent:
             return (True, False)
-        return (True, not any(isinstance(g, S.Ls) for g in S.subformulas(psi)))
+        return (True, all((_bracket_gamma(g) or 0) < 2 for g in S.subformulas(psi)))
 
     def _wand_scan(self, store, heap, A, neg_b, B, relevant, fresh, musts, lo_a, kmax):
-        banned_src, banned_tgt, _ = _conjunct_facts(A, store)
+        banned_src, banned_tgt, _, open_a = _conjunct_facts(A, store, self.policy)
 
         # a counterexample extension must also make not-B hold on the union,
         # so constraints of not-B on the union prune the candidate space
-        _, union_tgt_banned, next_eqs = _conjunct_facts(neg_b, store)
+        _, union_tgt_banned, next_eqs, _ = _conjunct_facts(neg_b, store, self.policy)
         if any(t in union_tgt_banned for t in heap.values()):
             return (True, True)
         banned_tgt |= union_tgt_banned
@@ -727,7 +761,7 @@ class _Evaluator:
         kmin = max(lo_a, len(forced) + len(pinned), 0)
         for k in range(kmin, min(kmax, len(sources) + len(pinned)) + 1):
             for h1 in extend(0, k - len(pinned), 0, dict(pinned)):
-                va, ea = self.evx(store, dict(h1), A)
+                va, ea = self._all(store, dict(h1), open_a)
                 if not va:
                     continue
                 union = dict(heap)

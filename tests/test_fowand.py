@@ -1,3 +1,7 @@
+import json
+import os
+from itertools import product
+
 import pytest
 
 from slreach import syntax as S
@@ -23,6 +27,8 @@ from slreach.fowand import (
 from slreach.heaps import Heap, MemoryState
 from slreach.parser import parse
 from slreach.semantics import WandPolicy, check
+
+from test_acceptance import FO_CORPUS
 
 
 def test_parse_fo():
@@ -213,3 +219,50 @@ def test_translation_correctness_spot():
         fo = check_fo(m1, psi, fresh=2, policy=WandPolicy("bounded", 3, 3))
         m2 = encode_state(m1, default_targets(m1), Z)
         assert check(m2, t, pol).truth == fo, m1
+
+
+FLAGS_FILE = os.path.join(os.path.dirname(__file__), "data", "translation_flags.json")
+
+
+def _flag_cases():
+    """(text, q, store, heap) of every check the flag file pins: each -*
+    formula of criterion 10's corpus on each of its states with at most one
+    cell, and (x1 ~> x2) -* (x1 ~> x2) on the slowest state of the
+    translation benchmark."""
+    one_cell = [{}] + [{a: b} for a in range(4) for b in range(4)]
+    for text, q in FO_CORPUS:
+        if "-*" in text:
+            for h in one_cell:
+                for sv in product(range(4), repeat=q):
+                    yield text, q, dict(zip(range(1, q + 1), sv)), h
+    yield "(x1 ~> x2) -* (x1 ~> x2)", 2, {1: 1, 2: 1}, {15: 15, 25: 15}
+
+
+def _translated_flags():
+    """[text, q, store, heap, truth, exact] of each case, checked as
+    criterion 10 checks it."""
+    rows = []
+    for text, q, store, heap in _flag_cases():
+        psi = parse_fo(text)
+        Z = sorted(free_vars(psi))
+        m1 = MemoryState(q, store, Heap(heap))
+        m2 = encode_state(m1, default_targets(m1), Z)
+        pol = WandPolicy("bounded", 2 * q + 2, 2 * q + 2, macro_shortcuts=True)
+        r = check(m2, translate(psi, EncodingContext(q, Z)), pol)
+        rows.append([text, q, sorted(map(list, store.items())), sorted(map(list, heap.items())),
+                     r.truth, r.exact])
+    return rows
+
+
+def test_translated_wand_flags_pinned():
+    # a pruning of the -* scan must keep every verdict and exactness flag;
+    # the file changes only with a change meant to move a flag
+    with open(FLAGS_FILE) as fh:
+        want = json.load(fh)
+    assert _translated_flags() == want
+
+
+if __name__ == "__main__":
+    # rewrite the flag file: PYTHONPATH=src python tests/test_fowand.py
+    with open(FLAGS_FILE, "w") as fh:
+        fh.write("[\n" + ",\n".join(json.dumps(r) for r in _translated_flags()) + "\n]\n")

@@ -206,6 +206,14 @@ def test_exactness_flags():
     m3 = MemoryState(2, {1: 0, 2: 1}, Heap({0: 1}))
     for text in ("true -* not (x1 = x2)", "true -* not (x1 ~> x1)", "true -* not false"):
         assert check(m3, parse(text), WandPolicy()) == (True, True), text
+    # a path bracket with gamma 0 or 1 has no certificate or one fixed by
+    # the store; s(x1) points to itself, so no extension satisfies either
+    m4 = MemoryState(2, {1: 0, 2: 1}, Heap({0: 0}))
+    for text in ("true -* not reacheq(x1,x2; 0)", "true -* not reacheq(x1,x2; 1)"):
+        f = parse(text)
+        assert check(m4, f, WandPolicy()) == (True, True), text
+        assert check(m4, f, WandPolicy("bounded", 1, 1)) == (True, True), text
+        assert naive_check(m4.store, {0: 0}, f, 3, 3) is True, text
     # every exact answer on true -* not psi holds at a larger bound too
     pol = WandPolicy("bounded", 1, 1)
     psis = [
@@ -221,6 +229,61 @@ def test_exactness_flags():
                 want = naive_check(m.store, dict(m.heap.cells), f,
                                    pol.cell_bound + 2, pol.fresh_locations + 2)
                 assert r.truth == want, (psi, m)
+
+
+@st.composite
+def _pruned_wands(draw):
+    """L -* R over three variables, each side an auxiliary predicate,
+    alloc(x), not alloc(x) or not alloc_inv(x, y), or two of them under * or
+    /\\: the shapes whose conjuncts the -* scan leaves unchecked and whose
+    must cells * gives to one side."""
+    var = st.integers(1, 3)
+
+    def leaf():
+        kind = draw(st.sampled_from(("alloc", "not alloc", "alloc_inv", "not alloc_inv",
+                                     "loop2", "next_eq", "next_pointsto")))
+        if kind == "alloc":
+            return S.alloc(draw(var))
+        if kind == "not alloc":
+            return S.Not(S.alloc(draw(var)))
+        if kind == "not alloc_inv":
+            return S.Not(S.alloc_inv(draw(var), draw(var)))
+        if kind == "next_pointsto":
+            return S.next_pointsto(draw(var), draw(var), draw(var))
+        return getattr(S, kind)(draw(var), draw(var))
+
+    def side():
+        op = draw(st.sampled_from((None, S.Star, S.And)))
+        return leaf() if op is None else op(leaf(), leaf())
+
+    return S.Wand(side(), side())
+
+
+def _check_pruned_wand(data, pol):
+    # stores with s(x) = s(y) and s(x) = s(z), where the shortcuts decline
+    values = data.draw(st.sampled_from(((0, 0, 1), (0, 1, 0), (0, 0, 0), (0, 1, 1))))
+    store = dict(zip((1, 2, 3), values))
+    heap = data.draw(st.sampled_from(({}, {0: 0}, {0: 1}, {1: 0}, {1: 1})))
+    f = data.draw(_pruned_wands())
+    r = check(MemoryState(3, store, Heap(heap)), f, pol)
+    if r.exact:
+        want = naive_check(store, heap, f, pol.cell_bound + 1, 1)
+        assert r.truth == want, (f, store, heap, pol)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_wand_pruning_matches_naive(data):
+    _check_pruned_wand(data, WandPolicy("bounded", data.draw(st.integers(0, 3)), 1))
+
+
+# The oracle gets one more cell but one fresh location, not two: with two,
+# single examples take over 15 s.  A refutation needing both fresh
+# locations would show as a mismatch; the fixed example set has none.
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_wand_pruning_with_shortcuts_matches_naive(data):
+    _check_pruned_wand(data, WandPolicy("bounded", 3, 2, macro_shortcuts=True))
 
 
 def test_truth_wand_without_certificates():
