@@ -15,8 +15,8 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from . import parser as P
 from . import syntax as S
-from .heaps import Heap, MemoryState, extensions, fresh_locations
-from .semantics import WandPolicy, canonical_key
+from .heaps import Heap, MemoryState, canonical_labelling, extensions, fresh_locations
+from .semantics import WandPolicy
 
 
 # ---------------------------------------------------------------------------
@@ -433,21 +433,18 @@ class _FOEval:
             return self._wand(store, heap, f)
         raise TypeError(f"unknown node {f!r}")
 
-    def _memo_key(self, store, heap, f, tag):
-        fv = sorted(free_vars(f))
-        return (tag, f, canonical_key(tuple(store[v] for v in fv), heap))
+    def _memo_key(self, store, heap, f):
+        """f's memo key on the state, and the state's relabelling."""
+        values = tuple(store[v] for v in sorted(free_vars(f)))
+        state, lab = canonical_labelling(values, heap)
+        return (f, self.fresh, self.policy, state), lab
 
     def _forall(self, store, heap, f: FOForall) -> bool:
-        key = self._memo_key(
-            store, heap, f,
-            ("A", self.fresh, self.policy.cell_bound, self.policy.fresh_locations),
-        )
+        key, lab = self._memo_key(store, heap, f)
         hit = _FO_MEMO.get(key)
         if hit is not None:
             return hit
-        relevant = sorted(
-            {store[v] for v in free_vars(f)} | set(heap) | set(heap.values())
-        )
+        relevant = sorted(lab)
         universe = relevant + fresh_locations(relevant, self.fresh)
         inner = dict(store)
         result = True
@@ -464,17 +461,11 @@ class _FOEval:
             raise ValueError("formula contains -* but the policy forbids it")
         if any(l in heap for l in _fo_must_alloc(f.left, store)):
             return True
-        key = self._memo_key(
-            store, heap, f,
-            ("W", self.fresh, self.policy.cell_bound, self.policy.fresh_locations),
-        )
+        key, lab = self._memo_key(store, heap, f)
         hit = _FO_MEMO.get(key)
         if hit is not None:
             return hit
-        fv = sorted(free_vars(f))
-        relevant = sorted(
-            {store[v] for v in fv} | set(heap) | set(heap.values())
-        )
+        relevant = sorted(lab)
         fresh = fresh_locations(relevant, self.policy.fresh_locations)
         universe = relevant + fresh
         result = True

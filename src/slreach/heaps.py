@@ -85,8 +85,8 @@ class MemoryState:
     __slots__ = ("q", "store", "heap", "_hash")
 
     def __init__(self, q: int, store: Mapping[int, int], heap: Heap):
-        if q < 1:
-            raise ValueError("q must be >= 1")
+        if not (isinstance(q, int) and q >= 1):
+            raise ValueError("q must be an integer >= 1")
         store = dict(store)
         if set(store) != set(range(1, q + 1)):
             raise ValueError(f"store must be defined exactly on x1..x{q}")
@@ -165,27 +165,95 @@ def extensions(h: Heap, universe: Iterable[int], max_cells: int) -> Iterator[Hea
                 yield Heap(dict(zip(srcs, tgts)))
 
 
-def _propagate(mapping, inv, h1: Heap, h2: Heap):
-    """Close mapping under the heap-successor constraint; None on conflict."""
-    queue = list(mapping)
-    while queue:
-        a = queue.pop()
-        b = mapping[a]
-        in1, in2 = a in h1, b in h2
-        if in1 != in2:
-            return None
-        if in1:
-            ta, tb = h1[a], h2[b]
-            if ta in mapping:
-                if mapping[ta] != tb:
-                    return None
-            elif tb in inv:
-                return None
-            else:
-                mapping[ta] = tb
-                inv[tb] = ta
-                queue.append(ta)
-    return mapping
+def canonical_labelling(values: Tuple[int, ...], heap: Mapping[int, int]):
+    """((store_part, cells), labelling): a complete isomorphism invariant of
+    the state (values, heap) and the relabelling onto 0..n-1 that gives it.
+
+    Locations reached from the values are numbered in order of first
+    appearance.  Every other cell lies on an in-tree hanging from a numbered
+    location, from an unreached cycle or from a location outside the heap.
+    In-trees are ranked by height, then by their children's ranks; a cycle
+    starts at its least rotation; the unreached components are numbered in
+    order of their codes.  Ties are isomorphic, so the keys of two states
+    are equal exactly when the states are isomorphic."""
+    order = list(dict.fromkeys(values))
+    reached = set(order)
+    for l in order:
+        t = heap.get(l)
+        if t is not None and t not in reached:
+            reached.add(t)
+            order.append(t)
+    rest = [l for l in heap if l not in reached]
+    if rest:
+        _order_unreached(heap, rest, reached, order)
+    lab = {l: i for i, l in enumerate(order)}
+    cells = tuple(sorted([(lab[s], lab[t]) for s, t in heap.items()]))
+    return (tuple([lab[v] for v in values]), cells), lab
+
+
+def _order_unreached(heap, rest, reached, order) -> None:
+    """Append the cells of rest, and the locations outside the heap that only
+    they point to, to order, as canonical_labelling numbers them."""
+    kids: Dict[int, list] = {}
+    for l in rest:
+        kids.setdefault(heap[l], []).append(l)
+    # Peel the in-trees from the leaves (all alike) up, one height per round:
+    # a rank orders by height, then by the children's ranks.  Locations
+    # outside the heap are peeled too; cells never peeled lie on cycles.
+    waiting = {p: len(ks) for p, ks in kids.items() if p not in reached}
+    rank: Dict[int, int] = dict.fromkeys([l for l in rest if l not in kids], 0)
+    level = list(rank)
+    while level:
+        up = []
+        for l in level:
+            p = heap.get(l)
+            if p in waiting:
+                waiting[p] -= 1
+                if not waiting[p]:
+                    up.append(p)
+        if len(up) == 1:  # alone at its height: nothing to compare
+            rank[up[0]] = len(rank)
+        elif up:
+            sig = {p: tuple(sorted([rank[c] for c in kids[p]])) for p in up}
+            index = {g: len(rank) + i for i, g in enumerate(sorted(set(sig.values())))}
+            for p in up:
+                rank[p] = index[sig[p]]
+        level = up
+    comps = []
+    for p in waiting:
+        if p not in heap:
+            comps.append(((1, rank[p]), [p]))
+        elif waiting[p]:
+            cyc = [p]
+            while heap[cyc[-1]] != p:
+                cyc.append(heap[cyc[-1]])
+            for c in cyc:
+                kids[heap[c]].remove(c)
+                waiting[c] = 0
+            codes = [tuple(sorted([rank[c] for c in kids[x]])) for x in cyc]
+            i = _least_rotation(codes)
+            comps.append(((0, *codes[i:], *codes[:i]), cyc[i:] + cyc[:i]))
+    comps.sort(key=lambda comp: comp[0])
+    order.extend(l for _, start in comps for l in start)
+    for l in order:
+        if l in kids:
+            order.extend(sorted(kids[l], key=rank.__getitem__))
+
+
+def _least_rotation(seq) -> int:
+    """Where the least rotation of seq starts, in linear time."""
+    n, i, j, k = len(seq), 0, 1, 0
+    while j < n and k < n:
+        a, b = seq[(i + k) % n], seq[(j + k) % n]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i, j = j, max(j + 1, i + k + 1)
+        else:
+            j += k + 1
+        k = 0
+    return i
 
 
 def isomorphic_wrt(m1: MemoryState, m2: MemoryState, X: Iterable[int]):
@@ -193,50 +261,13 @@ def isomorphic_wrt(m1: MemoryState, m2: MemoryState, X: Iterable[int]):
     (heap-graph isomorphism mapping s1(x) to s2(x) for x in X), or None."""
     if m1.q != m2.q:
         raise ValueError("states must share q")
-    h1, h2 = m1.heap, m2.heap
-    if len(h1) != len(h2):
-        return None
     xs = sorted(set(X))
-    mapping: Dict[int, int] = {}
-    inv: Dict[int, int] = {}
-    for x in xs:
-        a, b = m1.store[x], m2.store[x]
-        if mapping.get(a, b) != b or inv.get(b, a) != a:
-            return None
-        mapping[a] = b
-        inv[b] = a
-    if _propagate(mapping, inv, h1, h2) is None:
+    key1, lab1 = canonical_labelling(tuple(m1.store[x] for x in xs), m1.heap.cells)
+    key2, lab2 = canonical_labelling(tuple(m2.store[x] for x in xs), m2.heap.cells)
+    if key1 != key2:
         return None
-
-    def search(mapping, inv):
-        pend = sorted(l for l in h1.cells if l not in mapping)
-        if not pend:
-            rel1 = frozenset(m1.store[x] for x in xs) | h1.locations()
-            if any(l not in mapping for l in rel1):
-                # only unreached range-side locations can remain; map them
-                rest1 = sorted(l for l in rel1 if l not in mapping)
-                rel2 = frozenset(m2.store[x] for x in xs) | h2.locations()
-                rest2 = sorted(l for l in rel2 if l not in inv)
-                if len(rest1) != len(rest2):
-                    return None
-                for a, b in zip(rest1, rest2):
-                    mapping[a] = b
-                    inv[b] = a
-            return mapping
-        a = pend[0]
-        for b in sorted(l for l in h2.cells if l not in inv):
-            trial = dict(mapping)
-            trial_inv = dict(inv)
-            trial[a] = b
-            trial_inv[b] = a
-            if _propagate(trial, trial_inv, h1, h2) is None:
-                continue
-            res = search(trial, trial_inv)
-            if res is not None:
-                return res
-        return None
-
-    return search(mapping, inv)
+    order2 = sorted(lab2, key=lab2.get)
+    return {l: order2[i] for l, i in lab1.items()}
 
 
 def fresh_locations(taken: Iterable[int], count: int):
@@ -257,15 +288,20 @@ def state_to_json(m: MemoryState) -> dict:
     }
 
 
-def state_from_json(data: dict) -> MemoryState:
-    q = data["q"]
+def state_from_json(data) -> MemoryState:
+    """The state a state file holds; ValueError if the file has another
+    shape."""
+    if not (isinstance(data, dict) and {"q", "store", "heap"} <= set(data)
+            and isinstance(data["store"], dict) and isinstance(data["heap"], dict)):
+        raise ValueError('a state file holds "q" and the objects "store" and "heap"')
     store = {}
     for name, loc in data["store"].items():
-        if not name.startswith("x"):
-            raise ValueError(f"bad variable name {name!r}")
-        store[int(name[1:])] = int(loc)
-    heap = Heap({int(k): int(v) for k, v in data["heap"].items()})
-    return MemoryState(q, store, heap)
+        index = name[1:]
+        if not (name.startswith("x") and index.isdecimal()) or int(index) in store:
+            raise ValueError(f"bad or repeated variable name {name!r}")
+        store[int(index)] = loc
+    heap = Heap({int(k): v for k, v in data["heap"].items()})
+    return MemoryState(data["q"], store, heap)
 
 
 def save_state(m: MemoryState, path: str) -> None:

@@ -2,12 +2,13 @@
 
 Everything here is deliberately naive: plain recursion over the defining
 clauses, full power-set enumeration for *, raw extension enumeration for -*,
-a direct three-condition scan for meet-points, and a filter over the full
-product of successor choices for canonical shapes.  No sharing with the
+a direct three-condition scan for meet-points, a filter over the full
+product of successor choices for canonical shapes, and the least relabelling
+over every permutation of the locations for isomorphism.  No sharing with the
 package's optimized evaluators beyond the data types.
 """
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from hypothesis import strategies as st
 
@@ -172,6 +173,18 @@ def naive_shape_descriptors(q, alpha):
                     out.append((pattern, succ, rem, base + rem))
     out.sort(key=lambda d: (d[3], d[:3]))
     return out
+
+
+def least_relabelling(values, heap):
+    """The least (values, sorted cells) over every renaming of the state's
+    locations onto 0..n-1: equal exactly for isomorphic states."""
+    locs = sorted(set(values) | set(heap) | set(heap.values()))
+    vals = [locs.index(v) for v in values]
+    cells = [(locs.index(s), locs.index(t)) for s, t in heap.items()]
+    return min(
+        (tuple([p[v] for v in vals]), tuple(sorted([(p[s], p[t]) for s, t in cells])))
+        for p in permutations(range(len(locs)))
+    )
 
 
 def all_heaps(locations, max_cells):

@@ -6,14 +6,15 @@ Criteria with stated wall-clock budgets assert them.
 
 import random
 import time
+from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
 
 from slreach import syntax as S
-from slreach.heaps import Heap, MemoryState
+from slreach.heaps import Heap, MemoryState, canonical_labelling
 from slreach.parser import parse
-from slreach.semantics import WandPolicy, canonical_key, check, check_exact
+from slreach.semantics import WandPolicy, check, check_exact
 from slreach.solver import brute_sat, counterexample, entails, sat_reachplus, shf_rewrite
 from slreach.syntax import msize, rewrite_reach
 from slreach.testform import (
@@ -56,19 +57,21 @@ def _heaps(locs, max_cells):
                 yield dict(zip(srcs, tgts))
 
 
+@lru_cache(maxsize=None)
 def _canonical_states(q, locs, max_cells):
     """One state per isomorphism class (sound: isomorphic states share both
-    profiles and formula truth)."""
+    profiles and formula truth).  Criteria 3 and 9, and 5 and 6, ask for the
+    same classes, so each set is built once per session."""
     seen = set()
     out = []
     for h in _heaps(locs, max_cells):
         for sv in product(sorted(locs), repeat=q):
-            key = canonical_key(sv, h)
+            key = canonical_labelling(sv, h)[0]
             if key in seen:
                 continue
             seen.add(key)
             out.append(MemoryState(q, dict(zip(range(1, q + 1), sv)), Heap(h)))
-    return out
+    return tuple(out)
 
 
 def _formula_corpus(rng, count, max_size, qs=(1, 2)):
@@ -152,7 +155,7 @@ def test_criterion_2_macro_lemma_suite():
             for sv in product(locs, repeat=nvars):
                 if not side(sv):
                     continue
-                key = canonical_key(sv, h)
+                key = canonical_labelling(sv, h)[0]
                 if key in seen:
                     continue
                 seen.add(key)

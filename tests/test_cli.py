@@ -140,6 +140,27 @@ def test_usage_errors(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("data", [
+    {"store": {"x1": 0}, "heap": {}},
+    {"q": "1", "store": {"x1": 0}, "heap": {}},
+    [1, 2],
+    {"q": 1, "store": {"x1": 0}, "heap": {"0": None}},
+    {"q": 1, "store": {"x1": 0, "x01": 1}, "heap": {}},
+])
+def test_malformed_state_file_is_a_usage_error(tmp_path, capsys, state_file, data):
+    path = str(tmp_path / "bad.json")
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    for argv in [
+        ["check", "-f", "emp", "-m", path],
+        ["abstract", "-m", path],
+        ["equiv", "--m1", state_file, "--m2", path, "--alpha", "1"],
+        ["shrink", "-m", path, "--alpha", "1"],
+    ]:
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize("formula", ["size>=3000", "not " * 3000 + "emp"])
 def test_deep_nesting_is_a_usage_error(state_file, capsys, formula):
     assert main(["check", "-f", formula, "-m", state_file]) == 2

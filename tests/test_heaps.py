@@ -1,4 +1,5 @@
 import json
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,7 @@ from slreach.heaps import (
     Heap,
     MemoryState,
     OverlapError,
+    canonical_labelling,
     compose,
     extensions,
     isomorphic_wrt,
@@ -18,7 +20,7 @@ from slreach.heaps import (
 from slreach.parser import parse
 from slreach.semantics import check_exact
 
-from oracle import all_heaps
+from oracle import all_heaps, least_relabelling, random_states
 
 heaps_st = st.dictionaries(
     st.integers(0, 5), st.integers(0, 5), max_size=4
@@ -137,6 +139,43 @@ def test_isomorphic_unreached_cells():
     assert isomorphic_wrt(m1, m2, {1}) is not None
     m3 = MemoryState(1, {1: 0}, Heap({7: 9, 9: 9}))
     assert isomorphic_wrt(m1, m3, {1}) is None
+
+
+def test_canonical_key_is_complete():
+    # equal keys exactly when the least relabellings are equal, on every
+    # state over <= 4 locations with two values and over <= 5 with none
+    for nvals, nlocs, classes in [(2, 4, 465), (0, 5, 121)]:
+        pairs = {
+            (canonical_labelling(vals, h)[0], least_relabelling(vals, h))
+            for h in all_heaps(range(nlocs), nlocs)
+            for vals in product(range(nlocs), repeat=nvals)
+        }
+        assert len({key for key, _ in pairs}) == len(pairs) == classes
+        assert len({least for _, least in pairs}) == classes
+
+
+@given(random_states(max_q=3, max_loc=8, max_cells=8), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_isomorphic_wrt_maps_onto_a_relabelled_copy(m, rng):
+    locs = sorted(m.locations())
+    rename = dict(zip(locs, rng.sample(range(100), len(locs))))
+    copy = MemoryState(
+        m.q,
+        {x: rename[v] for x, v in m.store.items()},
+        Heap({rename[s]: rename[t] for s, t in m.heap.items()}),
+    )
+    xs = rng.sample(range(1, m.q + 1), rng.randint(0, m.q))
+    w = isomorphic_wrt(m, copy, xs)
+    assert w is not None
+    assert all(w[m.store[x]] == copy.store[x] for x in xs)
+    assert all(copy.heap.get(w[s]) == w[t] for s, t in m.heap.items())
+    key, lab = canonical_labelling(tuple(m.store[x] for x in xs), m.heap.cells)
+    assert set(lab) == {m.store[x] for x in xs} | m.heap.locations()
+    assert sorted(lab.values()) == list(range(len(lab)))
+    assert key == (
+        tuple(lab[m.store[x]] for x in xs),
+        tuple(sorted((lab[s], lab[t]) for s, t in m.heap.items())),
+    )
 
 
 def test_isomorphism_preserves_formulas():

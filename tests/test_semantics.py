@@ -301,6 +301,18 @@ def test_truth_wand_without_certificates():
     assert check(m, holds, pol).truth is True
 
 
+def test_isomorphic_states_share_a_wand_memo_entry():
+    from slreach import semantics
+
+    f = parse("(x1 ~> x1) -* reach+(x1,x1)")
+    semantics.clear_wand_memo()
+    sizes = []
+    for cells in [{1: 0, 2: 0, 3: 2}, {1: 0, 2: 0, 3: 1}]:
+        check(MemoryState(1, {1: 0}, Heap(cells)), f)
+        sizes.append(len(semantics._WAND_MEMO))
+    assert sizes[0] >= 1 and sizes[1] == sizes[0]
+
+
 def test_wand_bound():
     f = parse("emp -* emp")
     assert sl_star_wand_bound(f) == 6

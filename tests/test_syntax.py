@@ -284,8 +284,7 @@ def test_rewrite_reach_examples():
 def test_rewrite_preserves_semantics_at_desk_scale():
     # double rewriting stays equivalent on every state with <= 4 cells over
     # <= 6 locations (one representative per isomorphism class)
-    from slreach.semantics import canonical_key
-    from slreach.heaps import Heap, MemoryState
+    from slreach.heaps import canonical_labelling
 
     formulas = [
         S.Ls(1, 2), S.Reach(1, 2), S.ReachPlus(1, 1),
@@ -295,7 +294,7 @@ def test_rewrite_preserves_semantics_at_desk_scale():
     seen = set()
     states = []
     for m in all_states(2, range(6), 4):
-        key = canonical_key((m.store[1], m.store[2]), dict(m.heap.cells))
+        key = canonical_labelling((m.store[1], m.store[2]), m.heap.cells)[0]
         if key not in seen:
             seen.add(key)
             states.append(m)
