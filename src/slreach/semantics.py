@@ -604,18 +604,22 @@ class _Evaluator:
         relevant = sorted(lab)
         fresh = fresh_locations(relevant, self.policy.fresh_locations)
 
-        kmax = min(self.policy.cell_bound, hi_a)
+        # need: if any extension refutes the wand, one of at most need cells
+        # does (from A's size and, for true -* B, from not B's witnesses);
+        # the policy's cell bound is no such fact
+        need = hi_a
         result = None
         neg_b = B.child if isinstance(B, S.Not) else S.Not(B)
         if isinstance(A, S.Truth):
             certs = _certificates(neg_b, store, relevant + fresh)
             if certs is not None:
+                kmax = min(self.policy.cell_bound, need)
                 result = self._wand_by_certificates(store, heap, certs, kmax, neg_b)
             else:
-                kmax = min(kmax, _witness_need(neg_b))
+                need = min(need, _witness_need(neg_b))
         if result is None:
             result = self._wand_scan(
-                store, heap, A, neg_b, B, relevant, fresh, musts, lo_a, kmax
+                store, heap, A, neg_b, B, relevant, fresh, musts, lo_a, need
             )
         _WAND_MEMO[key] = result
         return result
@@ -639,7 +643,11 @@ class _Evaluator:
             return (True, False)
         return (True, all((_bracket_gamma(g) or 0) < 2 for g in S.subformulas(psi)))
 
-    def _wand_scan(self, store, heap, A, neg_b, B, relevant, fresh, musts, lo_a, kmax):
+    def _wand_scan(self, store, heap, A, neg_b, B, relevant, fresh, musts, lo_a, need):
+        """Scan the extensions of at most min(cell bound, need) cells for a
+        counterexample; "true" is exact only when need is 0 (the empty
+        extension is the only candidate) and that one check was exact."""
+        kmax = min(self.policy.cell_bound, need)
         banned_src, banned_tgt, _, open_a = _conjunct_facts(A, store, self.policy)
 
         # a counterexample extension must also make not-B hold on the union,
@@ -727,7 +735,7 @@ class _Evaluator:
                 inexact_counter = True
         if inexact_counter:
             return (False, False)
-        if kmin == 0 and kmax == 0:
+        if kmin == 0 and need == 0:
             return (True, bool(empty_exact))
         return (True, False)
 

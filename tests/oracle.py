@@ -5,15 +5,18 @@ clauses, full power-set enumeration for *, raw extension enumeration for -*,
 a direct three-condition scan for meet-points, a filter over the full
 product of successor choices for canonical shapes, and the least relabelling
 over every permutation of the locations for isomorphism.  No sharing with the
-package's optimized evaluators beyond the data types.
+package's optimized evaluators beyond the data types, except in
+reference_sat, which reuses the solver's shapes and exact evaluator to test
+its sweep alone.
 """
 
 from itertools import combinations, permutations, product
 
 from hypothesis import strategies as st
 
-from slreach import syntax as S
+from slreach import solver, syntax as S
 from slreach.heaps import Heap, MemoryState
+from slreach.semantics import check_exact
 
 
 def heap_iter(h, loc, i):
@@ -173,6 +176,30 @@ def naive_shape_descriptors(q, alpha):
                     out.append((pattern, succ, rem, base + rem))
     out.sort(key=lambda d: (d[3], d[:3]))
     return out
+
+
+def reference_sats(q, alpha, formulas):
+    """sat_reachplus without pruning or streaming, for formulae with at most
+    q variables and memory size alpha: the whole canonical space of (q,
+    alpha), sorted by (cells, pattern, succ, rem), each state materialized
+    once and checked with check_exact against every formula that has no
+    model yet."""
+    descs = sorted(solver._shape_descriptors(q, alpha), key=lambda d: (d[3], d[:3]))
+    results = [solver.SatResult("unsat", None, len(descs))] * len(formulas)
+    pending = list(range(len(formulas)))
+    for i, d in enumerate(descs):
+        if not pending:
+            break
+        m = solver._materialize(q, d)
+        for j in [j for j in pending if check_exact(m, formulas[j])]:
+            results[j] = solver.SatResult("sat", m, i + 1)
+            pending.remove(j)
+    return results
+
+
+def reference_sat(f):
+    """reference_sats for one formula, in the space sat_reachplus sweeps."""
+    return reference_sats(max(f.vars) if f.vars else 1, S.msize(f), [f])[0]
 
 
 def least_relabelling(values, heap):

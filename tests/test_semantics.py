@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from slreach import syntax as S
 from slreach.heaps import Heap, MemoryState
@@ -259,31 +259,67 @@ def _pruned_wands(draw):
     return S.Wand(side(), side())
 
 
-def _check_pruned_wand(data, pol):
-    # stores with s(x) = s(y) and s(x) = s(z), where the shortcuts decline
-    values = data.draw(st.sampled_from(((0, 0, 1), (0, 1, 0), (0, 0, 0), (0, 1, 1))))
+# stores with s(x) = s(y) and s(x) = s(z), where the shortcuts decline
+_PRUNED_STORES = st.sampled_from(((0, 0, 1), (0, 1, 0), (0, 0, 0), (0, 1, 1)))
+_PRUNED_HEAPS = st.sampled_from(({}, {0: 0}, {0: 1}, {1: 0}, {1: 1}))
+
+
+def _check_pruned_wand(f, values, heap, pol):
     store = dict(zip((1, 2, 3), values))
-    heap = data.draw(st.sampled_from(({}, {0: 0}, {0: 1}, {1: 0}, {1: 1})))
-    f = data.draw(_pruned_wands())
     r = check(MemoryState(3, store, Heap(heap)), f, pol)
     if r.exact:
         want = naive_check(store, heap, f, pol.cell_bound + 1, 1)
         assert r.truth == want, (f, store, heap, pol)
 
 
+# At cell bound 0 the scan sees only the empty extension, so its "true" is
+# exact only when the left side or not-B's witnesses need no cell; both
+# examples are refuted by one cell.
+@example(f=S.Wand(S.TRUE, S.EMP), values=(0, 0, 1), heap={}, bound=0)
+@example(
+    f=S.Wand(S.Not(S.alloc_inv(1, 1)), S.Not(S.alloc_inv(1, 3))),
+    values=(0, 0, 1), heap={}, bound=0,
+)
 @settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_wand_pruning_matches_naive(data):
-    _check_pruned_wand(data, WandPolicy("bounded", data.draw(st.integers(0, 3)), 1))
+@given(f=_pruned_wands(), values=_PRUNED_STORES, heap=_PRUNED_HEAPS, bound=st.integers(0, 3))
+def test_wand_pruning_matches_naive(f, values, heap, bound):
+    _check_pruned_wand(f, values, heap, WandPolicy("bounded", bound, 1))
 
 
 # The oracle gets one more cell but one fresh location, not two: with two,
 # single examples take over 15 s.  A refutation needing both fresh
 # locations would show as a mismatch; the fixed example set has none.
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.data())
-def test_wand_pruning_with_shortcuts_matches_naive(data):
-    _check_pruned_wand(data, WandPolicy("bounded", 3, 2, macro_shortcuts=True))
+@given(values=_PRUNED_STORES, heap=_PRUNED_HEAPS, f=_pruned_wands())
+def test_wand_pruning_with_shortcuts_matches_naive(values, heap, f):
+    _check_pruned_wand(f, values, heap, WandPolicy("bounded", 3, 2, macro_shortcuts=True))
+
+
+def test_exact_answers_at_small_bounds_match_naive():
+    # every exact answer at cell bounds 0-2 (one fresh location) holds at
+    # bound + 2 with two fresh ones: A -* B over ten atoms and their
+    # negations, and * around a -* side, where bound 0 scans alloc(x)
+    atoms = [parse(t) for t in ("emp", "true", "x1 = x2", "x1 ~> x2", "x2 ~> x1",
+                                "x1 ~> x1", "ls(x1,x2)", "reach+(x1,x2)", "alloc(x1)",
+                                "size>=2")]
+    lits = atoms + [S.Not(a) for a in atoms]
+    wands = [S.Wand(a, b) for a in lits for b in lits]
+    stars = [
+        g
+        for lit in lits
+        for p in (S.EMP, parse("x1 ~> x2"), S.TRUE, S.Not(S.EMP))
+        for g in (S.Star(S.Wand(S.TRUE, lit), p), S.Star(p, S.Wand(lit, S.FALSE)))
+    ]
+    states = list(all_states(2, range(2), 2))
+    wrong = []
+    for f in wands + stars:
+        for m in states:
+            heap = dict(m.heap.cells)
+            for bound in (0, 1, 2):
+                r = check(m, f, WandPolicy("bounded", bound, 1))
+                if r.exact and r.truth != naive_check(m.store, heap, f, bound + 2, 2):
+                    wrong.append((bound, f, m))
+    assert wrong == []
 
 
 def test_truth_wand_without_certificates():

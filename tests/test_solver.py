@@ -2,6 +2,7 @@ import os
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slreach import syntax as S
 from slreach.heaps import Heap, MemoryState
@@ -22,7 +23,7 @@ from slreach.solver import (
 from slreach.syntax import msize, rewrite_reach
 from slreach.testform import small_heap_bound
 
-from oracle import naive_shape_descriptors
+from oracle import naive_shape_descriptors, reference_sat, reference_sats
 
 
 def rp(text):
@@ -32,8 +33,10 @@ def rp(text):
 def test_sat_reachplus_examples():
     r = sat_reachplus(parse("emp"))
     assert r.is_sat and len(r.model.heap) == 0
+    # the footprint of emp /\ not emp is empty under every store pattern,
+    # so the sweep checks no state
     r = sat_reachplus(parse("emp /\\ not emp"))
-    assert r.status == "unsat" and r.explored > 0
+    assert r.status == "unsat" and r.explored == 0
     r = sat_reachplus(rp("reach+(x1,x1) /\\ size<=1"))
     assert r.is_sat
     assert len(r.model.heap) == 1
@@ -154,18 +157,17 @@ def test_brute_sat_examples():
     assert brute_sat(parse("size>=3"), 3, 4).is_sat
 
 
+_Q2_ATOMS = [S.EMP, S.TRUE, S.FALSE] + [
+    k(i, j) for k in (S.Eq, S.PointsTo, S.ReachPlus) for i in (1, 2) for j in (1, 2)
+]
+
+
 def test_oracle_agreement_random():
     rng = random.Random(4242)
-    atoms = [S.EMP, S.TRUE, S.FALSE] + [
-        k(i, j)
-        for k in (S.Eq, S.PointsTo, S.ReachPlus)
-        for i in (1, 2)
-        for j in (1, 2)
-    ]
 
     def gen(budget):
         if budget <= 1 or rng.random() < 0.3:
-            return rng.choice(atoms)
+            return rng.choice(_Q2_ATOMS)
         op = rng.choice(["not", "and", "star"])
         if op == "not":
             return S.Not(gen(budget - 1))
@@ -207,10 +209,11 @@ def _q3_corpus():
 
 def test_q3_corpus_agrees_with_brute_force():
     corpus = list(_q3_corpus())
-    assert {v for v, _ in corpus} == {"sat", "unsat"}
+    assert len(corpus) >= 40 and {v for v, _ in corpus} == {"sat", "unsat"}
     assert sum(msize(f) == 3 for _, f in corpus) >= 8
+    assert sum(msize(f) == 4 for _, f in corpus) >= 8
     for verdict, f in corpus:
-        assert max(f.vars) == 3 and msize(f) <= 3, f
+        assert max(f.vars) == 3 and msize(f) <= 4, f
         mine = sat_reachplus(f)
         oracle = brute_sat(f, 3, 4)
         assert mine.status == verdict, f
@@ -221,16 +224,54 @@ def test_q3_corpus_agrees_with_brute_force():
             assert len(mine.model.heap) <= len(oracle.model.heap)
 
 
+@st.composite
+def _q2_formulas(draw, budget=6):
+    """The formulae of test_oracle_agreement_random, drawn by Hypothesis."""
+    if budget <= 1 or draw(st.integers(0, 9)) < 3:
+        return draw(st.sampled_from(_Q2_ATOMS))
+    op = draw(st.sampled_from(("not", "and", "star")))
+    if op == "not":
+        return S.Not(draw(_q2_formulas(budget - 1)))
+    left = draw(_q2_formulas((budget - 1) // 2))
+    return (S.And if op == "and" else S.Star)(left, draw(_q2_formulas(budget - 1 - left.size)))
+
+
+def _same_answer(mine, ref):
+    assert mine.status == ref.status
+    if mine.is_sat:
+        assert mine.model.store == ref.model.store
+        assert mine.model.heap.cells == ref.model.heap.cells
+
+
+# Pruning skips only states that the footprint proves to be non-models and
+# keeps the order of the rest, so the first model is the same state.
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_q2_formulas())
+def test_pruned_sweep_matches_reference(f):
+    _same_answer(sat_reachplus(f), reference_sat(f))
+
+
+def test_pruned_sweep_matches_reference_on_q3_corpus():
+    corpus = [f for _, f in _q3_corpus()]
+    for alpha in sorted({msize(f) for f in corpus}):
+        fs = [f for f in corpus if msize(f) == alpha]
+        for f, ref in zip(fs, reference_sats(3, alpha, fs)):
+            _same_answer(sat_reachplus(f), ref)
+
+
 def test_large_canonical_spaces_keep_no_states():
-    # a q = 3, memory-size-3 sweep materializes each of its 122 792 states
-    # when it reaches it and keeps none; spaces of at most 2005 keep theirs
-    f = parse("(x2 ~> x1 /\\ (x2 ~> x2 /\\ x3 ~> x3)) * (reach+(x3,x2) * (x1 = x1))")
+    # the footprint of this q = 3, memory-size-3 formula leaves every state
+    # open, so the sweep materializes each of the 122 792 states when it
+    # reaches it and keeps none; spaces of at most 2005 keep theirs
+    f = parse("not (true * true * true) /\\ x3 = x3")
     assert msize(f) == 3
     r = sat_reachplus(f)
     assert r.status == "unsat" and r.explored == 122792
-    assert solver.canonical_states(3, 3).states == []
+    assert solver.canonical_states(3, 3).kept is None
     small = solver.canonical_states(2, 4)
-    assert len(list(small)) == len(small.states) == 2005
+    assert len(list(small)) == 2005
+    kept = [m for _, states in small.kept.values() for m in states]
+    assert len(kept) == 2005 and None not in kept
 
 
 def test_ls_entailment_with_an_empty_side():
