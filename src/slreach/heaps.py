@@ -103,6 +103,15 @@ class MemoryState:
     def locations(self) -> frozenset:
         return frozenset(self.store.values()) | self.heap.locations()
 
+    @classmethod
+    def _unchecked(cls, q: int, store: Dict[int, int], cells: Dict[int, int]) -> "MemoryState":
+        """The state on store and cells as given, unchecked and uncopied."""
+        heap = object.__new__(Heap)
+        heap._cells, heap._hash = cells, None
+        m = object.__new__(cls)
+        m.q, m.store, m.heap, m._hash = q, store, heap, None
+        return m
+
     def with_heap(self, heap: Heap) -> "MemoryState":
         return MemoryState(self.q, self.store, heap)
 

@@ -12,20 +12,22 @@ with equal profiles are not merged: sweeping an equivalent duplicate is
 sound, and at q <= 2, alpha <= 4 no two canonical states share a profile.
 
 A sweep ascends by cell count, then by store pattern, so returned models
-are cell-minimal.  It generates one (cells, pattern) bucket of shapes at a
-time, when it reaches it, so a q = 3 sweep never holds its whole space: one
-that checks all 416 760 states of memory size 4 peaks at 24 MB resident
-(with the space as one sorted list, 115 MB).  A state's store is fixed by its pattern, so sat_reachplus
-takes the formula's footprint (semantics._footprint: lo <= cells <= hi,
-must locations allocated) once per pattern, and checks only the states it
-leaves open; the others are skipped before they are built.  They are
-non-models, and the rest keep their order, so statuses and models are
-those of the full sweep, and only `explored` (the states checked) drops.
-Without the pruning a sat round (in process, seed 1, caches warm) takes
-0.16 s of CPU, not 0.08 s (medians of 15 rounds), and checks 17 685
-states, not 2 033.  sat_boolcomb sweeps unpruned: it decides -* parts
-with the bounded check, and that the footprint agrees with it there is not
-shown.
+are cell-minimal.  It builds a (cells, pattern) bucket of shapes when it
+first reaches it, so a q = 3 sweep never holds its whole space: one that
+checks all 416 760 states of memory size 4 peaks at 24 MB resident.  A
+state's store is fixed by its pattern, so the sweep takes the footprint
+(semantics._footprint: lo <= cells <= hi, must locations allocated) once
+per pattern and checks only the states it leaves open; the others are
+skipped before they are built.  They are non-models and the rest keep their
+order, so statuses and models are those of the full sweep, and only
+`explored` (the states checked) drops: without the pruning a sat round
+(seed 1, fresh import) takes 1.55 times the CPU (medians of 20 paired
+rounds) and checks 17 685 states, not 2 033.  ls and reach are rewritten
+into SL(*, reach+) (rewrite_reach) only for the rank and the footprint: the
+rewrite keeps truth on every state, so each state is checked against the
+query as written, one heap walk per ls where the rewrite splits a *.
+sat_boolcomb sweeps unpruned: it decides -* parts with the bounded check,
+and that the footprint agrees with it there is not shown.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from . import syntax as S
 from .heaps import Heap, MemoryState, extensions
-from .semantics import WandPolicy, _footprint, check, check_exact, sl_star_wand_bound
+from .semantics import FORBID, WandPolicy, _Evaluator, _footprint, check, check_exact
+from .semantics import sl_star_wand_bound
 from .syntax import msize, rewrite_reach
 
 
@@ -215,13 +218,13 @@ def _materialize(q: int, desc: tuple) -> MemoryState:
             heap[nxt] = sink
             nxt += 1
         nxt += 1
-    store = {i + 1: pattern[i] for i in range(q)}
-    return MemoryState(q, store, Heap(heap))
+    # locations and store values are naturals by construction
+    return MemoryState._unchecked(q, {i + 1: pattern[i] for i in range(q)}, heap)
 
 
 # The most states a space keeps between sweeps.  The largest space at
 # q <= 2, alpha <= 4 has 2005 states, and the sat sweeps at that scale
-# revisit it constantly.  q = 3 spaces hold 122 792 (alpha = 3) and 416 760
+# revisit it constantly.  q = 3 spaces hold 3744 (alpha = 1) to 416 760
 # (alpha = 4) states, about 640 B each materialized, so they keep nothing
 # and every sweep generates one (cells, pattern) bucket at a time.
 _KEEP_STATES = 2005
@@ -230,31 +233,22 @@ _KEEP_STATES = 2005
 class _CanonicalSpace:
     """The canonical states of (q, alpha) in buckets of one cell count and
     one store pattern, swept ascending by cells, then by pattern.  A space
-    of at most _KEEP_STATES states keeps every bucket's descriptors, and
-    each state once a sweep has materialized it; a larger space keeps
-    nothing and regenerates each bucket that a sweep reaches."""
+    of at most _KEEP_STATES states keeps each bucket's descriptors once a
+    sweep has reached it, and each state once a sweep has materialized it;
+    a larger space keeps nothing and regenerates each bucket that a sweep
+    reaches."""
 
     def __init__(self, q: int, alpha: int):
         self.q, self.alpha = q, alpha
         self.patterns = list(_store_patterns(q))
         self.top = _most_cells(q, alpha)
-        self.skeletons: Dict[tuple, List[tuple]] = {}
+        self.skeletons = {p: _skeletons(p) for p in self.patterns}
+        # a skeleton with e edges gives (alpha + 1) ** (e + 1) shapes: 0 to
+        # alpha intermediate cells on each path and in the remainder block
+        skels = [sk for p in self.patterns for sk in self.skeletons[p]]
+        self.size = sum((alpha + 1) ** (len(edges) + 1) for _, edges, _ in skels)
         # (cells, pattern) -> [descriptors, their states or None]
-        self.kept: Optional[Dict[tuple, list]] = {}
-        total = 0
-        for cells in range(self.top + 1):
-            for p in self.patterns:
-                descs = self._shapes(p, cells)
-                total += len(descs)
-                if total > _KEEP_STATES:
-                    self.kept = None
-                    return
-                self.kept[cells, p] = [descs, [None] * len(descs)]
-
-    def _shapes(self, pattern: Tuple[int, ...], cells: int) -> List[tuple]:
-        if pattern not in self.skeletons:
-            self.skeletons[pattern] = _skeletons(pattern)
-        return _shapes(pattern, self.skeletons[pattern], self.alpha, cells)
+        self.kept: Optional[Dict[tuple, list]] = {} if self.size <= _KEEP_STATES else None
 
     def __iter__(self) -> Iterator[MemoryState]:
         return self.sweep()
@@ -280,8 +274,11 @@ class _CanonicalSpace:
                 if not lo <= cells <= hi:
                     continue
                 if self.kept is None:
-                    descs, states = self._shapes(p, cells), None
+                    descs, states = _shapes(p, self.skeletons[p], self.alpha, cells), None
                 else:
+                    if (cells, p) not in self.kept:  # built when a sweep first reaches it
+                        descs = _shapes(p, self.skeletons[p], self.alpha, cells)
+                        self.kept[cells, p] = [descs, [None] * len(descs)]
                     descs, states = self.kept[cells, p]
                 for i, d in enumerate(descs):
                     # vertex l (location l) is allocated iff succ[l] is not none
@@ -313,6 +310,21 @@ def _formula_q(f: S.Formula) -> int:
     return max(f.vars) if f.vars else 1
 
 
+def _sweep(f: S.Formula, g: S.Formula) -> SatResult:
+    """Sweep the canonical space for a model of the wand-free f, where g is
+    an SL(*, reach+) formula true on the same states as f: g fixes the rank
+    (its memory size) and the footprint that prunes the sweep, and each
+    state is checked against f."""
+    q = _formula_q(f)
+    ev = _Evaluator(FORBID).ev  # f is wand-free; one footprint table for the sweep
+    explored = 0
+    for m in canonical_states(q, msize(g)).sweep(g):
+        explored += 1
+        if ev(m.store, m.heap.cells, f):
+            return SatResult("sat", m, explored)
+    return SatResult("unsat", None, explored)
+
+
 def sat_reachplus(f: S.Formula) -> SatResult:
     """Satisfiability for SL(*, reach+) via the canonical small-state space;
     sat models are re-checked and lie within the small-heap bound."""
@@ -321,14 +333,7 @@ def sat_reachplus(f: S.Formula) -> SatResult:
             "sat_reachplus expects a wand-free formula without ls/reach atoms "
             "(apply rewrite_reach first)"
         )
-    q = _formula_q(f)
-    alpha = msize(f)
-    explored = 0
-    for m in canonical_states(q, alpha).sweep(f):
-        explored += 1
-        if check_exact(m, f):
-            return SatResult("sat", m, explored)
-    return SatResult("unsat", None, explored)
+    return _sweep(f, f)
 
 
 def shf_rewrite(f: S.Formula) -> S.Formula:
@@ -343,7 +348,7 @@ def sat_bool_shf(f: S.Formula) -> SatResult:
     """Satisfiability for Boolean combinations of symbolic-heap formulae."""
     if not S.in_bool_shf(f):
         raise FragmentError("formula is not a Boolean combination of symbolic heaps")
-    return sat_reachplus(shf_rewrite(f))
+    return _sweep(f, shf_rewrite(f))
 
 
 def sat_boolcomb(f: S.Formula) -> SatResult:
@@ -387,7 +392,7 @@ def sat(f: S.Formula, fragment: str = "auto") -> SatResult:
     if fragment != "auto":
         raise ValueError(f"unknown fragment {fragment!r}")
     if f.wand_free:
-        return sat_reachplus(rewrite_reach(f, "reachplus"))
+        return _sweep(f, rewrite_reach(f, "reachplus"))
     try:
         rewritten = rewrite_reach(f, "reachplus")
     except ValueError:

@@ -7,9 +7,12 @@ so the core AST stays small for the checker.
 
 Nodes are hash-consed: building a formula returns the one existing node
 that is structurally equal to it, if any, so structurally equal formulae are
-one object and ``==`` is identity.  Nodes are immutable, and the size,
-variable and wand-freeness caches on a node are shared by every formula that
-contains it.
+one object and ``==`` is identity.  Nodes are immutable, and the size and
+variable caches on a node are shared by every formula that contains it.
+
+Each node class has one bit, and each node holds the mask of the kinds in
+its subtree, set when it is built: wand-freeness and every fragment test on
+atoms are one mask test each (kinds).
 """
 
 from __future__ import annotations
@@ -34,9 +37,10 @@ def _check_var(i: int) -> int:
 _NODES: "weakref.WeakValueDictionary[tuple, Formula]" = weakref.WeakValueDictionary()
 
 
-def _new_node(cls):
+def _new_node(cls, below: int = 0):
     node = object.__new__(cls)
-    node._size = node._msize = node._vars = node._wandfree = node._special = None
+    node._size = node._msize = node._vars = node._special = None
+    node._kinds = cls._bit | below
     return node
 
 
@@ -46,7 +50,7 @@ class Formula:
     equality.  Copying and unpickling go through the constructors
     (__reduce__), so they return the interned node too."""
 
-    __slots__ = ("_size", "_msize", "_vars", "_wandfree", "_special", "__weakref__")
+    __slots__ = ("_size", "_msize", "_vars", "_kinds", "_special", "__weakref__")
 
     def children(self) -> Tuple["Formula", ...]:
         return ()
@@ -69,9 +73,7 @@ class Formula:
 
     @property
     def wand_free(self) -> bool:
-        if self._wandfree is None:
-            self._wandfree = all(c.wand_free for c in self.children())
-        return self._wandfree
+        return not self._kinds & _WAND_BIT
 
     def __repr__(self):
         from .parser import to_text
@@ -155,7 +157,7 @@ class Not(Formula):
         key = (cls, child)
         node = _NODES.get(key)
         if node is None:
-            node = _new_node(cls)
+            node = _new_node(cls, child._kinds)
             node.child = child
             _NODES[key] = node
         return node
@@ -174,7 +176,7 @@ class _BinOp(Formula):
         key = (cls, left, right)
         node = _NODES.get(key)
         if node is None:
-            node = _new_node(cls)
+            node = _new_node(cls, left._kinds | right._kinds)
             node.left = left
             node.right = right
             _NODES[key] = node
@@ -198,16 +200,25 @@ class Star(_BinOp):
 class Wand(_BinOp):
     __slots__ = ()
 
-    @property
-    def wand_free(self):
-        return False
 
+ATOM_TYPES = (Emp, Truth, Falsum, Eq, PointsTo, Ls, Reach, ReachPlus)
+
+for _i, _cls in enumerate(ATOM_TYPES + (Not, And, Star, Wand)):
+    _cls._bit = 1 << _i
+del _i, _cls
+
+
+def kinds(*classes) -> int:
+    """The mask of classes: f._kinds & kinds(C) is nonzero iff f has a C node."""
+    return sum(c._bit for c in classes)
+
+
+_WAND_BIT = Wand._bit
+_ATOM_MASK = kinds(*ATOM_TYPES)
 
 EMP = Emp()
 TRUE = Truth()
 FALSE = Falsum()
-
-ATOM_TYPES = (Emp, Truth, Falsum, Eq, PointsTo, Ls, Reach, ReachPlus)
 
 
 def f_or(*parts: Formula) -> Formula:
@@ -528,13 +539,16 @@ def expand_macro(name: str, args: Sequence) -> Formula:
 # Atom maps: reachability-predicate rewriting and variable renaming.
 # ---------------------------------------------------------------------------
 
-def map_atoms(f: Formula, atom, special=None) -> Formula:
+def map_atoms(f: Formula, atom, special=None, touched: int = _ATOM_MASK) -> Formula:
     """f with every atom g replaced by atom(g) and the connectives above it
     rebuilt.  When special is given, a registered auxiliary predicate (see
     special_form) is not descended into: it becomes special(name, *args),
-    so a rename can rebuild it through its macro and keep it registered."""
+    so a rename can rebuild it through its macro and keep it registered.
+    A subtree with no atom in the kinds mask touched is returned as it is."""
 
     def go(g: Formula) -> Formula:
+        if not g._kinds & touched:
+            return g
         if special is not None:
             spec = special_form(g)
             if spec is not None:
@@ -588,7 +602,8 @@ def rewrite_reach(f: Formula, target: str) -> Formula:
             )
         return g
 
-    return map_atoms(f, atom)
+    touched = kinds(Ls, Reach) if target == "reachplus" else kinds(Ls, Reach, ReachPlus)
+    return map_atoms(f, atom, touched=touched)
 
 
 # ---------------------------------------------------------------------------
@@ -605,22 +620,23 @@ class Fragment(Enum):
     NONE = "NONE"
 
 
-def _atoms_within(f: Formula, allowed) -> bool:
-    if isinstance(f, ATOM_TYPES):
-        return isinstance(f, allowed)
-    return all(_atoms_within(c, allowed) for c in f.children())
+def _atoms_within(f: Formula, allowed: int) -> bool:
+    return not f._kinds & _ATOM_MASK & ~allowed
+
+
+_SL_STAR_ATOMS = kinds(Emp, Truth, Falsum, Eq, PointsTo)
 
 
 def in_sl_star(f: Formula) -> bool:
-    return f.wand_free and _atoms_within(f, (Emp, Truth, Falsum, Eq, PointsTo))
+    return f.wand_free and _atoms_within(f, _SL_STAR_ATOMS)
 
 
 def in_sl_star_wand(f: Formula) -> bool:
-    return _atoms_within(f, (Emp, Truth, Falsum, Eq, PointsTo))
+    return _atoms_within(f, _SL_STAR_ATOMS)
 
 
 def in_sl_star_wand_ls(f: Formula) -> bool:
-    return _atoms_within(f, (Emp, Truth, Falsum, Eq, PointsTo, Ls))
+    return _atoms_within(f, _SL_STAR_ATOMS | kinds(Ls))
 
 
 def in_sl_star_reachplus(f: Formula) -> bool:
@@ -631,7 +647,7 @@ def in_sl_star_reachplus(f: Formula) -> bool:
 
 def strictly_in_sl_star_reachplus(f: Formula) -> bool:
     """Literal SL(*, reach+) syntax: no ls or reach atoms at all."""
-    return f.wand_free and _atoms_within(f, (Emp, Truth, Falsum, Eq, PointsTo, ReachPlus))
+    return f.wand_free and _atoms_within(f, _SL_STAR_ATOMS | kinds(ReachPlus))
 
 
 def _is_mapsto_pattern(f: Formula) -> bool:

@@ -268,10 +268,48 @@ def test_large_canonical_spaces_keep_no_states():
     r = sat_reachplus(f)
     assert r.status == "unsat" and r.explored == 122792
     assert solver.canonical_states(3, 3).kept is None
+    assert solver.canonical_states(3, 3).size == 122792
     small = solver.canonical_states(2, 4)
     assert len(list(small)) == 2005
     kept = [m for _, states in small.kept.values() for m in states]
     assert len(kept) == 2005 and None not in kept
+    # the closed-form count is the number of states a full sweep yields
+    for q in (1, 2):
+        for alpha in (1, 2, 3, 4):
+            space = solver.canonical_states(q, alpha)
+            assert space.size == sum(1 for _ in space), (q, alpha)
+    # the smallest q = 3 space is already past the bound
+    space = solver.canonical_states(3, 1)
+    assert space.size == 3744 == sum(1 for _ in space)
+    assert space.kept is None
+
+
+_WAND_FREE_ATOMS = [S.EMP, S.TRUE] + [
+    k(i, j) for k in (S.Eq, S.PointsTo, S.Ls, S.Reach, S.ReachPlus) for i in (1, 2) for j in (1, 2)
+]
+
+
+@st.composite
+def _wand_free_formulas(draw, budget=6):
+    """Wand-free q <= 2 formulae over ls, reach and reach+ as well."""
+    if budget <= 1 or draw(st.integers(0, 9)) < 3:
+        return draw(st.sampled_from(_WAND_FREE_ATOMS))
+    op = draw(st.sampled_from(("not", "and", "star")))
+    if op == "not":
+        return S.Not(draw(_wand_free_formulas(budget - 1)))
+    left = draw(_wand_free_formulas((budget - 1) // 2))
+    right = draw(_wand_free_formulas(budget - 1 - left.size))
+    return (S.And if op == "and" else S.Star)(left, right)
+
+
+# sat sweeps the space of the rewritten formula but checks each state
+# against the formula as written; rewrite_reach keeps truth on every state
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_wand_free_formulas())
+def test_sweep_as_written_matches_rewritten(f):
+    mine, ref = sat(f), sat_reachplus(rewrite_reach(f, "reachplus"))
+    _same_answer(mine, ref)
+    assert mine.explored == ref.explored
 
 
 def test_ls_entailment_with_an_empty_side():
