@@ -34,6 +34,14 @@ class Heap:
         self._cells = d
         self._hash = None
 
+    @classmethod
+    def _unchecked(cls, cells: Dict[int, int]) -> "Heap":
+        """The heap on cells as given, unchecked and uncopied: for cells
+        taken from valid heaps."""
+        h = object.__new__(cls)
+        h._cells, h._hash = cells, None
+        return h
+
     @property
     def cells(self) -> Dict[int, int]:
         """The underlying source -> target mapping (do not mutate)."""
@@ -106,10 +114,8 @@ class MemoryState:
     @classmethod
     def _unchecked(cls, q: int, store: Dict[int, int], cells: Dict[int, int]) -> "MemoryState":
         """The state on store and cells as given, unchecked and uncopied."""
-        heap = object.__new__(Heap)
-        heap._cells, heap._hash = cells, None
         m = object.__new__(cls)
-        m.q, m.store, m.heap, m._hash = q, store, heap, None
+        m.q, m.store, m.heap, m._hash = q, store, Heap._unchecked(cells), None
         return m
 
     def with_heap(self, heap: Heap) -> "MemoryState":
@@ -141,7 +147,7 @@ def compose(h1: Heap, h2: Heap) -> Heap:
             raise OverlapError(loc)
     merged = dict(big.cells)
     merged.update(small.cells)
-    return Heap(merged)
+    return Heap._unchecked(merged)
 
 
 def iterate(h: Heap, loc: int, i: int) -> Optional[int]:

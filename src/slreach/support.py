@@ -11,10 +11,19 @@ compressed successor relation E between them, the allocated labelled
 locations rho, the labelling, the intermediate cells btw of each compressed
 edge (kept in path order), and the remaining cells rem.  rho, rem and the
 btw sets partition the heap domain.
+
+The terms are read off one walk from each distinct variable value: the set
+of locations it visits, and its head, the path up to the last variable value
+on it.  m(xi,xj) is the first location of xi's head that xj's walk visits.
+The first location of xi's walk that xj's walk visits comes at or before the
+entry of any cycle closing xi's walk (a walk that meets the cycle runs
+through all of it), so it reaches exactly the rest of xi's walk, and it
+reaches a variable value exactly when it lies on the head.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from .heaps import MemoryState
@@ -39,59 +48,36 @@ def meet_term(i: int, j: int) -> Term:
     return Term("meet", i, j)
 
 
+@lru_cache(maxsize=None)
+def _terms(q: int) -> Tuple[Tuple[Term, ...], Tuple[Tuple[Term, ...], ...]]:
+    """The terms x_i and the rows m(x_i, x_1..x_q), built once per q."""
+    r = range(1, q + 1)
+    return tuple(var_term(i) for i in r), tuple(tuple(meet_term(i, j) for j in r) for i in r)
+
+
 def all_terms(q: int) -> List[Term]:
     """The q^2 + q terms over x1..xq."""
-    out = [var_term(i) for i in range(1, q + 1)]
-    out.extend(meet_term(i, j) for i in range(1, q + 1) for j in range(1, q + 1))
-    return out
+    xs, rows = _terms(q)
+    return [*xs, *(t for row in rows for t in row)]
 
 
-def _walk(heap: dict, start: int) -> List[int]:
-    """Locations visited from start (start included) until the walk leaves
-    the domain or closes a cycle; at most |dom|+1 entries."""
-    out = [start]
-    seen = {start}
-    cur = start
-    for _ in range(len(heap)):
-        nxt = heap.get(cur)
-        if nxt is None:
-            break
-        if nxt in seen:
-            out.append(nxt)
-            break
-        out.append(nxt)
+def _walk(heap: dict, start: int, var_values) -> Tuple[List[int], set]:
+    """(head, seen) for the walk from start, which ends when it leaves the
+    domain or closes a cycle: seen holds the locations it visits and None
+    (the successor outside the domain), head lists them in path order up to
+    the last one in var_values, or all of them when the cycle closes on a
+    value in var_values."""
+    path = [start]
+    seen = {start, None}
+    get = heap.get
+    nxt = get(start)
+    while nxt not in seen:
+        path.append(nxt)
         seen.add(nxt)
-        cur = nxt
-    return out
-
-
-class _VarWalk(NamedTuple):
-    """The walk from one variable's value, read once for all its meet-points."""
-
-    path: List[int]  # _walk from the value
-    on_path: FrozenSet[int]
-    last_var: int  # the last index on path holding a variable value
-
-
-def _var_walk(heap: dict, start: int, var_values) -> _VarWalk:
-    path = _walk(heap, start)
-    last_var = max(k for k, loc in enumerate(path) if loc in var_values)
-    return _VarWalk(path, frozenset(path), last_var)
-
-
-def _meet(wi: _VarWalk, wj: _VarWalk) -> Optional[int]:
-    """m(xi,xj) from the walks of xi and xj: the first location on xi's path
-    that xj's path visits, provided it reaches some variable value.
-
-    That first location comes at or before the entry of any cycle closing
-    xi's path (a path that meets the cycle runs through all of it), so what
-    it reaches is exactly the rest of xi's path, and it reaches a variable
-    value exactly when one lies at or after it there."""
-    on_j = wj.on_path
-    for k, loc in enumerate(wi.path):
-        if loc in on_j:
-            return loc if k <= wi.last_var else None
-    return None
+        nxt = get(nxt)
+    if nxt in var_values:
+        return path, seen
+    return path[: max([path.index(v) for v in var_values if v in seen], default=-1) + 1], seen
 
 
 def meet_point(m: MemoryState, i: int, j: int) -> Optional[int]:
@@ -100,10 +86,9 @@ def meet_point(m: MemoryState, i: int, j: int) -> Optional[int]:
         raise ValueError("variable index out of range")
     heap = m.heap.cells
     var_values = set(m.store.values())
-    return _meet(
-        _var_walk(heap, m.store[i], var_values),
-        _var_walk(heap, m.store[j], var_values),
-    )
+    head = _walk(heap, m.store[i], var_values)[0]
+    seen = _walk(heap, m.store[j], var_values)[1]
+    return next((loc for loc in head if loc in seen), None)
 
 
 def term_value(m: MemoryState, t: Term) -> Optional[int]:
@@ -136,42 +121,57 @@ class SupportGraph(NamedTuple):
 
 
 def build_support_graph(m: MemoryState) -> SupportGraph:
+    """The support graph of m: the location of every defined term
+    (term_map) and its inverse (labels), the labelled locations (vertices),
+    the edge from each vertex to the next vertex its path reaches with the
+    cells strictly between them in path order, the allocated vertices (rho)
+    and the remaining cells (rem).  rho, rem and the btw sets partition the
+    heap domain.
+
+    It walks once from each distinct variable value, reads each meet-point
+    off the walks up to the last variable value, and steps once from each
+    vertex to the next."""
     heap = m.heap.cells
-    var_values = set(m.store.values())
-    walks = {i: _var_walk(heap, v, var_values) for i, v in m.store.items()}
-    term_map: Dict[Term, int] = {var_term(i): v for i, v in m.store.items()}
-    for i, wi in walks.items():
-        for j, wj in walks.items():
-            loc = _meet(wi, wj)
-            if loc is not None:
-                term_map[meet_term(i, j)] = loc
+    store = m.store
+    var_values = set(store.values())
+    walks = {v: _walk(heap, v, var_values) for v in var_values}
+    xs, rows = _terms(m.q)
+    term_map: Dict[Term, int] = {xs[i - 1]: u for i, u in store.items()}
+    for i, u in store.items():
+        head, row = walks[u][0], rows[i - 1]
+        for j, w in store.items():
+            seen = walks[w][1]
+            for loc in head:
+                if loc in seen:
+                    term_map[row[j - 1]] = loc
+                    break
     labels: Dict[int, set] = {}
     for t, loc in term_map.items():
         labels.setdefault(loc, set()).add(t)
     vertices = frozenset(labels)
     edges: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
-    used_btw = set()
+    rem = heap.keys() - vertices
+    get = heap.get
+    steps = range(len(heap) + 1)  # a path can run into a cycle holding no vertex
     for v in vertices:
-        cur = heap.get(v)
+        cur = get(v)
         between: List[int] = []
-        steps = 0
-        while cur is not None and steps <= len(heap):
+        for _ in steps:
+            if cur is None:
+                break
             if cur in vertices:
                 edges[v] = (cur, tuple(between))
-                used_btw.update(between)
+                rem.difference_update(between)
                 break
             between.append(cur)
-            cur = heap.get(cur)
-            steps += 1
-    rho = frozenset(v for v in vertices if v in heap)
-    rem = frozenset(l for l in heap if l not in rho and l not in used_btw)
+            cur = get(cur)
     return SupportGraph(
         q=m.q,
         vertices=vertices,
         edges=edges,
-        rho=rho,
-        labels={l: frozenset(ts) for l, ts in labels.items()},
-        rem=rem,
+        rho=frozenset(heap.keys() & vertices),
+        labels={loc: frozenset(ts) for loc, ts in labels.items()},
+        rem=frozenset(rem),
         term_map=term_map,
     )
 
@@ -187,12 +187,10 @@ def taxonomy(m: MemoryState, i: int, j: int) -> Optional[int]:
         return None
     heap = m.heap.cells
     var_values = set(m.store.values())
-    walk = _walk(heap, loc)
-    first_var = next(l for l in walk if l in var_values)
-    on_loop = first_var in _walk(heap, heap.get(first_var)) if first_var in heap else False
-    if not on_loop:
+    first_var = next(l for l in _walk(heap, loc, var_values)[0] if l in var_values)
+    if first_var not in heap or first_var not in _walk(heap, heap[first_var], var_values)[1]:
         return 1
-    return 2 if meet_point(m, i, j) == meet_point(m, j, i) else 3
+    return 2 if loc == meet_point(m, j, i) else 3
 
 
 def dump_support_graph(g: SupportGraph) -> str:

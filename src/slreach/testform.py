@@ -439,7 +439,7 @@ def match_split(
 
     cells_a = {l: t for l, t in m2.heap.items() if part_of[l] == 1}
     cells_b = {l: t for l, t in m2.heap.items() if part_of[l] == 2}
-    return Heap(cells_a), Heap(cells_b)
+    return Heap._unchecked(cells_a), Heap._unchecked(cells_b)
 
 
 # ---------------------------------------------------------------------------
@@ -482,4 +482,4 @@ def shrink(m: MemoryState, alpha: int) -> MemoryState:
     for v in g.rho:
         if v not in new:
             new[v] = heap[v]
-    return MemoryState(m.q, m.store, Heap(new))
+    return MemoryState._unchecked(m.q, dict(m.store), new)

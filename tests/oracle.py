@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: plain recursion over the defining
 clauses, full power-set enumeration for *, raw extension enumeration for -*,
-a direct three-condition scan for meet-points, a filter over the full
+a direct three-condition scan for meet-points, a support graph stepped
+out edge by edge from those meet-points, a filter over the full
 product of successor choices for canonical shapes, and the least relabelling
 over every permutation of the locations for isomorphism.  No sharing with the
 package's optimized evaluators beyond the data types, except in
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from slreach import solver, syntax as S
 from slreach.heaps import Heap, MemoryState
 from slreach.semantics import check_exact
+from slreach.support import Term
 
 
 def heap_iter(h, loc, i):
@@ -137,6 +139,44 @@ def naive_meet(m: MemoryState, i: int, j: int):
     return candidates
 
 
+def naive_support_graph(m: MemoryState):
+    """The fields of the support graph of m, from the definitions: each term
+    located by naive_meet, each edge found by stepping from its source vertex
+    until the next vertex (its btw cells are the ones stepped over, in path
+    order), rho the allocated vertices and rem the cells left over."""
+    heap = m.heap.cells
+    term_map = {Term("var", i): m.store[i] for i in range(1, m.q + 1)}
+    for i in range(1, m.q + 1):
+        for j in range(1, m.q + 1):
+            for loc in naive_meet(m, i, j):
+                term_map[Term("meet", i, j)] = loc
+    labels = {}
+    for t, loc in term_map.items():
+        labels[loc] = labels.get(loc, frozenset()) | {t}
+    vertices = frozenset(labels)
+    edges = {}
+    for v in vertices:
+        btw = []
+        cur = heap.get(v)
+        while cur is not None and cur not in vertices and cur not in btw:
+            btw.append(cur)
+            cur = heap.get(cur)
+        if cur in vertices:
+            edges[v] = (cur, tuple(btw))
+    rho = frozenset(v for v in vertices if v in heap)
+    passed = set(rho)
+    for _, btw in edges.values():
+        passed.update(btw)
+    return {
+        "vertices": vertices,
+        "edges": edges,
+        "rho": rho,
+        "labels": labels,
+        "rem": frozenset(set(heap) - passed),
+        "term_map": term_map,
+    }
+
+
 def naive_shape_descriptors(q, alpha):
     """The canonical shapes of solver._shape_descriptors, as (pattern, succ,
     rem, cells) tuples sorted the same way: every successor vector over
@@ -238,3 +278,47 @@ def random_states(draw, max_q=4, max_loc=11, max_cells=12):
     store = {i: draw(locs) for i in range(1, q + 1)}
     heap = draw(st.dictionaries(locs, locs, max_size=max_cells))
     return MemoryState(q, store, Heap(heap))
+
+
+@st.composite
+def shaped_states(draw, max_q=4, max_list=12, max_garbage=10):
+    """Hypothesis strategy: a state with up to max_q variables, each aliasing
+    an earlier one, pointing inside an earlier list, or heading a list of up
+    to max_list cells that ends unallocated, points outside the domain,
+    joins an earlier list (a shared tail), closes a cycle or points at a
+    variable; plus up to max_garbage cells that no variable reaches, wired
+    among themselves and into the lists.  Locations are scattered over
+    0..2n for n locations."""
+    q = draw(st.sampled_from(range(1, max_q + 1)))
+    store, heap, owned = {}, {}, []
+    n = 0
+    for v in range(1, q + 1):
+        kind = draw(st.sampled_from(("list", "list", "alias", "inside"))) if v > 1 else "list"
+        if kind == "alias":
+            store[v] = store[draw(st.integers(1, v - 1))]
+            continue
+        if kind == "inside":
+            store[v] = draw(st.sampled_from(owned))
+            continue
+        cells = list(range(n, n + draw(st.sampled_from(range(1, max_list + 1)))))
+        n += len(cells)
+        store[v] = cells[0]
+        heap.update(zip(cells, cells[1:]))
+        end = draw(st.sampled_from(("unallocated", "out", "share", "cycle", "var")))
+        if end == "out":
+            heap[cells[-1]] = n
+            n += 1
+        elif end == "share" and owned:
+            heap[cells[-1]] = draw(st.sampled_from(owned))
+        elif end == "cycle":
+            heap[cells[-1]] = draw(st.sampled_from(cells))
+        elif end == "var":
+            heap[cells[-1]] = store[draw(st.integers(1, v))]
+        owned += cells
+    garbage = list(range(n, n + draw(st.sampled_from(range(max_garbage + 1)))))
+    n += len(garbage)
+    for g in garbage:
+        heap[g] = draw(st.sampled_from(garbage + owned))
+    locs = draw(st.permutations(range(2 * n + 1)))
+    return MemoryState(q, {v: locs[l] for v, l in store.items()},
+                       Heap({locs[a]: locs[b] for a, b in heap.items()}))

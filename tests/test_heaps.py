@@ -218,3 +218,15 @@ def test_state_validation():
         MemoryState(1, {1: -1}, Heap())
     with pytest.raises(ValueError):
         Heap({-1: 0})
+    # the public constructors check every input; only heaps built inside the
+    # package from cells of valid heaps skip the checks
+    for cells in ({0: -1}, {0.5: 1}, {0: "1"}, {None: 0}):
+        with pytest.raises(ValueError):
+            Heap(cells)
+        with pytest.raises(ValueError):
+            MemoryState(1, {1: 0}, cells)
+    for value in (1.5, "0", None):
+        with pytest.raises(ValueError):
+            MemoryState(1, {1: value}, Heap())
+    with pytest.raises(OverlapError):
+        Heap({0: 1, 2: 2}) + Heap({2: 0})

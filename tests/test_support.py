@@ -17,7 +17,7 @@ from slreach.support import (
     var_term,
 )
 
-from oracle import all_states, naive_meet, random_states
+from oracle import all_states, naive_meet, naive_support_graph, random_states, shaped_states
 
 
 def test_term_count():
@@ -177,3 +177,22 @@ def test_labels_by_term_value_on_random_states(m):
     for i in range(1, m.q + 1):
         for j in range(1, m.q + 1):
             assert [meet_point(m, i, j)] == (naive_meet(m, i, j) or [None]), (m, i, j)
+
+
+def _assert_matches_reference(m):
+    g, ref = build_support_graph(m), naive_support_graph(m)
+    for field, want in ref.items():
+        assert getattr(g, field) == want, (field, m)
+    assert g.q == m.q
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(shaped_states())
+def test_support_graph_matches_reference_on_shaped_states(m):
+    _assert_matches_reference(m)
+
+
+@pytest.mark.parametrize("q,alpha", [(2, 3), (3, 1)])
+def test_support_graph_matches_reference_on_canonical_states(q, alpha):
+    for d in solver._shape_descriptors(q, alpha):
+        _assert_matches_reference(solver._materialize(q, d))
