@@ -14,11 +14,11 @@ import sys
 from typing import List, Optional
 
 from . import fowand, solver
-from .heaps import load_state, save_state, state_to_json
+from .heaps import MemoryState, load_state, save_state, state_to_json
 from .parser import ParseError, parse, to_text
 from .semantics import WandPolicy, check, check_exact
 from .support import build_support_graph, dump_support_graph
-from .testform import LiteralProfile, profile_of_graph, shrink, small_heap_bound
+from .testform import LiteralProfile, equivalent, profile_of_graph, shrink, small_heap_bound
 
 
 def _policy(args) -> WandPolicy:
@@ -109,8 +109,6 @@ def _reframe(m, q):
     store = dict(m.store)
     for i in range(m.q + 1, q + 1):
         store[i] = m.store[m.q]
-    from .heaps import MemoryState
-
     return MemoryState(q, store, m.heap)
 
 
@@ -133,8 +131,6 @@ def _cmd_abstract(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    from .testform import equivalent
-
     m1, m2 = load_state(args.m1), load_state(args.m2)
     eq = equivalent(m1, m2, args.alpha)
     _emit(args, [f"equivalent: {'yes' if eq else 'no'}"], {"equivalent": eq})

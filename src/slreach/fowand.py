@@ -11,7 +11,7 @@ equality and points-to become the successor predicates on encoder cells.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import parser as P
 from . import syntax as S
@@ -21,102 +21,93 @@ from .semantics import WandPolicy
 
 # ---------------------------------------------------------------------------
 # First-order AST: atoms =, ~>, connectives not/or/-*, universal quantifier.
+# The nodes are interned in syntax's node table, so equal formulae are one
+# object, and each node stores its scope when it is built.
 # ---------------------------------------------------------------------------
 
 class FOFormula:
-    __slots__ = ("_hash",)
+    """Base of the first-order nodes.  Equality and hashing are object
+    identity, as for syntax.Formula, and copying and unpickling rebuild
+    through the constructor.  free_vars is the sorted tuple of the free
+    variables, bound_vars the variables of the quantifiers in tree order."""
+
+    __slots__ = ("free_vars", "bound_vars", "__weakref__")
+    _fields: Tuple[str, ...] = ()
+    _nvars = 0  # how many leading fields are variables
+    __reduce__ = S.Formula.__reduce__
+
+    def __new__(cls, *args):
+        for v in args[:cls._nvars]:
+            S._check_var(v)
+        key = (cls, *args)
+        node = S._NODES.get(key)
+        if node is None:
+            if len(args) != len(cls._fields):
+                raise TypeError(f"{cls.__name__} takes {len(cls._fields)} arguments")
+            node = object.__new__(cls)
+            for name, value in zip(cls._fields, args):
+                setattr(node, name, value)
+            node.free_vars, node.bound_vars = node._scope()
+            S._NODES[key] = node
+        return node
 
     def children(self) -> Tuple["FOFormula", ...]:
         return ()
 
-    def _key(self):
-        raise NotImplementedError
-
-    def __eq__(self, other):
-        return type(self) is type(other) and self._key() == other._key()
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((type(self).__name__, self._key()))
-        return self._hash
+    def _scope(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        kids = self.children()
+        free = sorted({v for c in kids for v in c.free_vars})
+        return tuple(free), sum((c.bound_vars for c in kids), ())
 
 
-class FOEq(FOFormula):
-    __slots__ = ("x", "y")
+class _FOAtom(FOFormula):
+    __slots__ = _fields = ("x", "y")
+    _nvars = 2
 
-    def __init__(self, x: int, y: int):
-        self._hash = None
-        self.x, self.y = x, y
-
-    def _key(self):
-        return (self.x, self.y)
+    def _scope(self):
+        return tuple(sorted({self.x, self.y})), ()
 
 
-class FOPointsTo(FOFormula):
-    __slots__ = ("x", "y")
+class FOEq(_FOAtom):
+    __slots__ = ()
 
-    def __init__(self, x: int, y: int):
-        self._hash = None
-        self.x, self.y = x, y
 
-    def _key(self):
-        return (self.x, self.y)
+class FOPointsTo(_FOAtom):
+    __slots__ = ()
 
 
 class FONot(FOFormula):
-    __slots__ = ("child",)
-
-    def __init__(self, child: FOFormula):
-        self._hash = None
-        self.child = child
+    __slots__ = _fields = ("child",)
 
     def children(self):
         return (self.child,)
 
-    def _key(self):
-        return (self.child,)
 
-
-class FOOr(FOFormula):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: FOFormula, right: FOFormula):
-        self._hash = None
-        self.left, self.right = left, right
+class _FOBinOp(FOFormula):
+    __slots__ = _fields = ("left", "right")
 
     def children(self):
         return (self.left, self.right)
 
-    def _key(self):
-        return (self.left, self.right)
+
+class FOOr(_FOBinOp):
+    __slots__ = ()
 
 
-class FOWand(FOFormula):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: FOFormula, right: FOFormula):
-        self._hash = None
-        self.left, self.right = left, right
-
-    def children(self):
-        return (self.left, self.right)
-
-    def _key(self):
-        return (self.left, self.right)
+class FOWand(_FOBinOp):
+    __slots__ = ()
 
 
 class FOForall(FOFormula):
-    __slots__ = ("var", "body")
-
-    def __init__(self, var: int, body: FOFormula):
-        self._hash = None
-        self.var, self.body = var, body
+    __slots__ = _fields = ("var", "body")
+    _nvars = 1
 
     def children(self):
         return (self.body,)
 
-    def _key(self):
-        return (self.var, self.body)
+    def _scope(self):
+        free = tuple(v for v in self.body.free_vars if v != self.var)
+        return free, (self.var,) + self.body.bound_vars
 
 
 def fo_and(a: FOFormula, b: FOFormula) -> FOFormula:
@@ -127,36 +118,12 @@ def fo_implies(a: FOFormula, b: FOFormula) -> FOFormula:
     return FOOr(FONot(a), b)
 
 
-def free_vars(f: FOFormula) -> FrozenSet[int]:
-    if isinstance(f, (FOEq, FOPointsTo)):
-        return frozenset((f.x, f.y))
-    if isinstance(f, FOForall):
-        return free_vars(f.body) - {f.var}
-    out: frozenset = frozenset()
-    for c in f.children():
-        out |= free_vars(c)
-    return out
-
-
-def bound_vars(f: FOFormula) -> List[int]:
-    out: List[int] = []
-
-    def go(g):
-        if isinstance(g, FOForall):
-            out.append(g.var)
-        for c in g.children():
-            go(c)
-
-    go(f)
-    return out
-
-
 def validate_quantifiers(f: FOFormula) -> None:
     """Distinct quantifications bind distinct variables, none of them free."""
-    bs = bound_vars(f)
+    bs = f.bound_vars
     if len(bs) != len(set(bs)):
         raise ValueError("distinct quantifications must bind distinct variables")
-    if set(bs) & free_vars(f):
+    if set(bs).intersection(f.free_vars):
         raise ValueError("a bound variable also occurs free")
 
 
@@ -277,10 +244,6 @@ class EncodingContext:
         return i + self.q if i <= self.q else i - self.q
 
 
-def safe_formula(ctx: EncodingContext) -> S.Formula:
-    return S.safe(ctx.X)
-
-
 def translate(psi: FOFormula, ctx: EncodingContext) -> S.Formula:
     """The propositional encoding: homomorphic on Boolean connectives,
     equality and points-to become successor predicates (with the helper
@@ -289,9 +252,9 @@ def translate(psi: FOFormula, ctx: EncodingContext) -> S.Formula:
     implication re-encodes the free variables of its left argument through
     the partner variables."""
     validate_quantifiers(psi)
-    if not free_vars(psi) <= ctx.Z:
+    if not ctx.Z.issuperset(psi.free_vars):
         raise ValueError("free variables of the formula must lie within Z")
-    if set(bound_vars(psi)) & ctx.Z:
+    if ctx.Z.intersection(psi.bound_vars):
         raise ValueError("a quantified variable collides with Z")
     return _translate(psi, ctx)
 
@@ -309,15 +272,15 @@ def _translate(psi: FOFormula, ctx: EncodingContext) -> S.Formula:
         body = _translate(psi.body, ctx)
         return S.Wand(
             S.And(S.alloc(psi.var), S.size_eq(1)),
-            S.f_implies(safe_formula(ctx), body),
+            S.f_implies(S.safe(ctx.X), body),
         )
     if isinstance(psi, FOWand):
-        Z1 = sorted(free_vars(psi.left))
+        Z1 = psi.left.free_vars
         left_parts: List[S.Formula] = [S.alloc(ctx.bar(z)) for z in Z1]
         left_parts += [
             S.Not(S.alloc(ctx.bar(v))) for v in ctx.X if v not in Z1
         ]
-        left_parts.append(safe_formula(ctx))
+        left_parts.append(S.safe(ctx.X))
         # the left argument, renamed by the involution
         bar = ctx.bar
         left_parts.append(S.map_atoms(
@@ -326,7 +289,7 @@ def _translate(psi: FOFormula, ctx: EncodingContext) -> S.Formula:
             lambda name, *args: S.expand_macro(name, [bar(v) for v in args]),
         ))
         guard = S.f_and(
-            *[S.next_eq(z, ctx.bar(z)) for z in Z1], safe_formula(ctx)
+            *[S.next_eq(z, ctx.bar(z)) for z in Z1], S.safe(ctx.X)
         )
         pinned = S.f_and(*[S.alloc(ctx.bar(z)) for z in Z1], S.size_eq(len(Z1)))
         right = S.f_implies(
@@ -336,26 +299,29 @@ def _translate(psi: FOFormula, ctx: EncodingContext) -> S.Formula:
     raise TypeError(f"unknown node {psi!r}")
 
 
-def encode_sat(psi: FOFormula, q: Optional[int] = None) -> S.Formula:
-    """The equisatisfiable propositional formula for a closed psi."""
-    if free_vars(psi):
+def _closed_encoding(psi: FOFormula, q: Optional[int]):
+    """The context of a closed psi over q variables (by default its largest
+    bound one), and the condition every encoding starts from: no encoder
+    cell allocated, Safe(X)."""
+    if psi.free_vars:
         raise ValueError("the formula must be closed")
     if q is None:
-        q = max(bound_vars(psi), default=1)
+        q = max(psi.bound_vars, default=1)
     ctx = EncodingContext(q)
     init = S.f_and(*[S.Not(S.alloc(i)) for i in ctx.X])
-    return S.f_and(init, safe_formula(ctx), _translate(psi, ctx))
+    return ctx, S.And(init, S.safe(ctx.X))
+
+
+def encode_sat(psi: FOFormula, q: Optional[int] = None) -> S.Formula:
+    """The equisatisfiable propositional formula for a closed psi."""
+    ctx, start = _closed_encoding(psi, q)
+    return S.And(start, _translate(psi, ctx))
 
 
 def encode_val(psi: FOFormula, q: Optional[int] = None) -> S.Formula:
     """The equivalid propositional formula for a closed psi."""
-    if free_vars(psi):
-        raise ValueError("the formula must be closed")
-    if q is None:
-        q = max(bound_vars(psi), default=1)
-    ctx = EncodingContext(q)
-    init = S.f_and(*[S.Not(S.alloc(i)) for i in ctx.X])
-    return S.f_implies(S.And(init, safe_formula(ctx)), _translate(psi, ctx))
+    ctx, start = _closed_encoding(psi, q)
+    return S.f_implies(start, _translate(psi, ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +401,7 @@ class _FOEval:
 
     def _memo_key(self, store, heap, f):
         """f's memo key on the state, and the state's relabelling."""
-        values = tuple(store[v] for v in sorted(free_vars(f)))
+        values = tuple(store[v] for v in f.free_vars)
         state, lab = canonical_labelling(values, heap)
         return (f, self.fresh, self.policy, state), lab
 
@@ -491,11 +457,11 @@ def check_fo(
     """Evaluate psi on m with universal quantifiers ranging over the relevant
     locations plus `fresh` canonical fresh ones; exact for -*-free psi when
     fresh >= quantifier depth + 1."""
-    fv = free_vars(psi)
-    if fv and max(fv) > m.q:
-        raise ValueError(f"free variable x{max(fv)} outside x1..x{m.q}")
+    fv = psi.free_vars
+    if fv and fv[-1] > m.q:
+        raise ValueError(f"free variable x{fv[-1]} outside x1..x{m.q}")
     ev = _FOEval(fresh, policy)
     store = dict(m.store)
-    for b in bound_vars(psi):
+    for b in psi.bound_vars:
         store.setdefault(b, 0)
     return ev.ev(store, dict(m.heap.cells), psi)

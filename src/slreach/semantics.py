@@ -772,8 +772,6 @@ def check_exact(m: MemoryState, f: S.Formula) -> bool:
 
 def sl_star_wand_bound(f: S.Formula) -> int:
     """A cell bound making bounded -* checking complete on SL(*,-*)."""
-    from .syntax import in_sl_star_wand
-
-    if not in_sl_star_wand(f):
+    if not S.in_sl_star_wand(f):
         raise ValueError("formula is outside SL(*,-*)")
     return 2 * f.size

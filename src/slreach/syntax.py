@@ -7,8 +7,9 @@ so the core AST stays small for the checker.
 
 Nodes are hash-consed: building a formula returns the one existing node
 that is structurally equal to it, if any, so structurally equal formulae are
-one object and ``==`` is identity.  Nodes are immutable, and the size and
-variable caches on a node are shared by every formula that contains it.
+one object and ``==`` is identity.  The first-order nodes of fowand live in
+the same table.  Nodes are immutable, and the size and variable caches on a
+node are shared by every formula that contains it.
 
 Each node class has one bit, and each node holds the mask of the kinds in
 its subtree, set when it is built: wand-freeness and every fragment test on
@@ -24,17 +25,19 @@ from typing import FrozenSet, Sequence, Tuple
 
 
 def _check_var(i: int) -> int:
-    if not (isinstance(i, int) and i >= 1):
+    # not isinstance: True == 1 would find and register x1's nodes
+    if not (type(i) is int and i >= 1):
         raise ValueError(f"variable index must be a positive integer, got {i!r}")
     return i
 
 
-# The live nodes, keyed by (class, *fields).  Values are weak, so a node is
+# The live nodes of both logics, formulae here and first-order formulae in
+# fowand, keyed by (class, *fields).  Values are weak, so a node is
 # dropped from the table once no formula or cache refers to it; a key holds
 # its child nodes, which the node itself holds anyway.  Lookup and insertion
 # are not locked: two threads building the same new node at once could each
 # get their own copy, so formulae are built from one thread.
-_NODES: "weakref.WeakValueDictionary[tuple, Formula]" = weakref.WeakValueDictionary()
+_NODES: "weakref.WeakValueDictionary[tuple, object]" = weakref.WeakValueDictionary()
 
 
 def _new_node(cls, below: int = 0):
@@ -51,6 +54,10 @@ class Formula:
     (__reduce__), so they return the interned node too."""
 
     __slots__ = ("_size", "_msize", "_vars", "_kinds", "_special", "__weakref__")
+    _fields: Tuple[str, ...] = ()  # the constructor's arguments
+
+    def __reduce__(self):
+        return (type(self), tuple(getattr(self, f) for f in self._fields))
 
     def children(self) -> Tuple["Formula", ...]:
         return ()
@@ -91,9 +98,6 @@ class _Nullary(Formula):
             node = _NODES[key] = _new_node(cls)
         return node
 
-    def __reduce__(self):
-        return (type(self), ())
-
 
 class Emp(_Nullary):
     __slots__ = ()
@@ -108,7 +112,7 @@ class Falsum(_Nullary):
 
 
 class _BinAtom(Formula):
-    __slots__ = ("x", "y")
+    __slots__ = _fields = ("x", "y")
 
     def __new__(cls, x: int, y: int):
         key = (cls, _check_var(x), _check_var(y))
@@ -119,9 +123,6 @@ class _BinAtom(Formula):
             node.y = y
             _NODES[key] = node
         return node
-
-    def __reduce__(self):
-        return (type(self), (self.x, self.y))
 
     @property
     def vars(self):
@@ -151,7 +152,7 @@ class ReachPlus(_BinAtom):
 
 
 class Not(Formula):
-    __slots__ = ("child",)
+    __slots__ = _fields = ("child",)
 
     def __new__(cls, child: Formula):
         key = (cls, child)
@@ -162,15 +163,12 @@ class Not(Formula):
             _NODES[key] = node
         return node
 
-    def __reduce__(self):
-        return (type(self), (self.child,))
-
     def children(self):
         return (self.child,)
 
 
 class _BinOp(Formula):
-    __slots__ = ("left", "right")
+    __slots__ = _fields = ("left", "right")
 
     def __new__(cls, left: Formula, right: Formula):
         key = (cls, left, right)
@@ -181,9 +179,6 @@ class _BinOp(Formula):
             node.right = right
             _NODES[key] = node
         return node
-
-    def __reduce__(self):
-        return (type(self), (self.left, self.right))
 
     def children(self):
         return (self.left, self.right)

@@ -16,6 +16,7 @@ from itertools import combinations, permutations, product
 from hypothesis import strategies as st
 
 from slreach import solver, syntax as S
+from slreach.fowand import FOEq, FOForall, FOPointsTo
 from slreach.heaps import Heap, MemoryState
 from slreach.semantics import check_exact
 from slreach.support import Term
@@ -105,6 +106,26 @@ def naive_check(store, heap, f, wand_bound=0, wand_fresh=1):
                         return False
         return True
     raise TypeError(f)
+
+
+def fo_free_vars(f):
+    """The free variables of a first-order formula, by recursion."""
+    if isinstance(f, (FOEq, FOPointsTo)):
+        return frozenset((f.x, f.y))
+    if isinstance(f, FOForall):
+        return fo_free_vars(f.body) - {f.var}
+    out = frozenset()
+    for c in f.children():
+        out |= fo_free_vars(c)
+    return out
+
+
+def fo_bound_vars(f):
+    """The variables of a first-order formula's quantifiers, in tree order."""
+    out = [f.var] if isinstance(f, FOForall) else []
+    for c in f.children():
+        out += fo_bound_vars(c)
+    return out
 
 
 def naive_meet(m: MemoryState, i: int, j: int):

@@ -29,7 +29,6 @@ from slreach.fowand import (
     check_fo,
     default_targets,
     encode_state,
-    free_vars,
     parse_fo,
     translate,
 )
@@ -404,7 +403,7 @@ def test_criterion_10_translation_correctness():
     for text, q in FO_CORPUS:
         psi = parse_fo(text)
         assert corpus_shape_ok(psi)
-        Z = sorted(free_vars(psi))
+        Z = psi.free_vars
         ctx = EncodingContext(q, Z)
         t = translate(psi, ctx)
         sl_policy = WandPolicy("bounded", 2 * q + 2, 2 * q + 2, macro_shortcuts=True)

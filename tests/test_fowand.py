@@ -1,5 +1,7 @@
+import copy
 import json
 import os
+import pickle
 from itertools import product
 
 import pytest
@@ -19,7 +21,6 @@ from slreach.fowand import (
     encode_state,
     encode_val,
     fo_to_text,
-    free_vars,
     parse_fo,
     quantifier_depth,
     translate,
@@ -28,19 +29,38 @@ from slreach.heaps import Heap, MemoryState
 from slreach.parser import parse
 from slreach.semantics import WandPolicy, check
 
+from oracle import fo_bound_vars, fo_free_vars
 from test_acceptance import FO_CORPUS
 
 
 def test_parse_fo():
     psi = parse_fo("forall x2 . not (x2 ~> x1)")
-    assert psi == FOForall(2, FONot(FOPointsTo(2, 1)))
-    assert free_vars(psi) == {1}
+    assert psi is FOForall(2, FONot(FOPointsTo(2, 1)))
+    assert psi.free_vars == (1,)
     assert quantifier_depth(psi) == 1
     w = parse_fo("(x1 ~> x2) -* (x1 = x2)")
-    assert w == FOWand(FOPointsTo(1, 2), FOEq(1, 2))
+    assert w is FOWand(FOPointsTo(1, 2), FOEq(1, 2))
     both = parse_fo("x1 = x2 \\/ x2 ~> x1")
-    assert both == FOOr(FOEq(1, 2), FOPointsTo(2, 1))
-    assert parse_fo(fo_to_text(psi)) == psi
+    assert both is FOOr(FOEq(1, 2), FOPointsTo(2, 1))
+    assert parse_fo(fo_to_text(psi)) is psi
+    assert FOEq(1, 2) is FOEq(1, 2) and FOEq(1, 2) is not FOPointsTo(1, 2)
+    for f in (psi, w, both):
+        assert copy.deepcopy(f) is f and pickle.loads(pickle.dumps(f)) is f
+
+
+def test_stored_scope_matches_recursive_walk():
+    # the corpus quantifies at most once; the last two texts nest quantifiers
+    texts = [text for text, _ in FO_CORPUS] + [
+        "forall x1 . forall x2 . ((x1 ~> x2) -* (x1 ~> x2))",
+        "(forall x2 . x2 = x1) \\/ not forall x3 . (x3 ~> x1 /\\ forall x4 . x4 = x3)",
+    ]
+    for text in texts:
+        todo = [parse_fo(text)]
+        while todo:
+            g = todo.pop()
+            assert g.free_vars == tuple(sorted(fo_free_vars(g))), text
+            assert g.bound_vars == tuple(fo_bound_vars(g)), text
+            todo += g.children()
 
 
 def test_parse_fo_rejects_rebinding():
@@ -207,7 +227,7 @@ def test_translation_correctness_spot():
     # one spot instance of the correctness lemma; the acceptance suite runs
     # the full corpus
     psi = parse_fo("forall x2 . not (x2 ~> x1)")
-    Z = sorted(free_vars(psi))
+    Z = psi.free_vars
     ctx = EncodingContext(2, Z)
     t = translate(psi, ctx)
     pol = WandPolicy("bounded", 6, 6, macro_shortcuts=True)
@@ -244,7 +264,7 @@ def _translated_flags():
     rows = []
     for text, q, store, heap in _flag_cases():
         psi = parse_fo(text)
-        Z = sorted(free_vars(psi))
+        Z = psi.free_vars
         m1 = MemoryState(q, store, Heap(heap))
         m2 = encode_state(m1, default_targets(m1), Z)
         pol = WandPolicy("bounded", 2 * q + 2, 2 * q + 2, macro_shortcuts=True)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slreach import syntax as S
+from slreach.fowand import FOEq, fo_to_text
 from slreach.parser import ParseError, parse, to_text
 from slreach.semantics import check_exact
 from slreach.syntax import Fragment, classify, expand_macro, msize, rewrite_reach
@@ -111,9 +112,17 @@ def test_cached_macros_still_reject_bad_arguments():
 
 
 def test_bad_variable_registers_nothing():
+    # True == 1 and hash(True) == hash(1), so a node built from True would be
+    # the one found for x1; first-order nodes share the table
+    for cls, text in ((S.Eq, to_text), (FOEq, fo_to_text)):
+        for bad in (0, True):
+            with pytest.raises(ValueError):
+                cls(bad, 2)
+            assert (cls, 0, 2) not in S._NODES
+            assert text(cls(1, 2)) == "x1 = x2"
     with pytest.raises(ValueError):
-        S.Eq(0, 1)
-    assert (S.Eq, 0, 1) not in S._NODES
+        S.alloc(True)
+    assert to_text(parse("x1 ~> x1")) == "x1 ~> x1"
 
 
 def test_parse_errors_carry_position():
