@@ -29,7 +29,7 @@ class Heap:
     def __init__(self, cells: Mapping[int, int] | Iterable[Tuple[int, int]] = ()):
         d = dict(cells)
         for k, v in d.items():
-            if not (isinstance(k, int) and isinstance(v, int) and k >= 0 and v >= 0):
+            if not (type(k) is int and type(v) is int and k >= 0 and v >= 0):
                 raise ValueError(f"heap cell {k} -> {v} is not a pair of naturals")
         self._cells = d
         self._hash = None
@@ -93,13 +93,13 @@ class MemoryState:
     __slots__ = ("q", "store", "heap", "_hash")
 
     def __init__(self, q: int, store: Mapping[int, int], heap: Heap):
-        if not (isinstance(q, int) and q >= 1):
+        if not (type(q) is int and q >= 1):
             raise ValueError("q must be an integer >= 1")
         store = dict(store)
         if set(store) != set(range(1, q + 1)):
             raise ValueError(f"store must be defined exactly on x1..x{q}")
         for v in store.values():
-            if not (isinstance(v, int) and v >= 0):
+            if not (type(v) is int and v >= 0):
                 raise ValueError("store values must be naturals")
         if not isinstance(heap, Heap):
             heap = Heap(heap)

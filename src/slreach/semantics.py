@@ -17,12 +17,13 @@ workload named, seed 1):
   the state (heaps.canonical_labelling: isomorphic states, which satisfy
   the same formulae, share one entry): a raw key takes the wand round from
   2.3 s to 6.1 s.
-* Fresh locations enter an extension in rank order (no permutation twins),
-  and * on wand-free sides splits per constraint block (cells grouped by the
-  variable cells and minimal variable-to-variable paths they lie on).
-* Every * gives each side the cells it must allocate and splits the others
-  (_split), with -* in a side at cell bound >= 1 only: a translation round
-  takes 0.52 s of CPU, not 0.44 s, without it for such sides, and
+* Fresh locations enter an extension in rank order (no permutation twins).
+* One splitter (_star) serves every *.  It gives each side the cells it
+  must allocate, with -* in a side at cell bound >= 1 only, and splits the
+  others by block: a wand-free * per constraint block (cells grouped by the
+  variable cells and minimal variable-to-variable paths they lie on), a *
+  with -* in a side per cell.  Without the must cells for -* sides a
+  translation round takes 0.52 s of CPU, not 0.44 s, and
   (x1 ~> x2) -* (x1 ~> x2) on its slowest state 0.17 s, not 0.06 s.
 * Each * side is summarized once (_footprint: sizes, must-allocated cells,
   no model at all) through false, false (dis)equalities, ls(x, x) (emp
@@ -56,7 +57,6 @@ workload named, seed 1):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from . import syntax as S
@@ -341,45 +341,19 @@ def _witness_need(f: S.Formula):
 # Heap walks.
 # ---------------------------------------------------------------------------
 
-def _reach(heap: dict, a: int, b: int, strict: bool) -> bool:
-    if not strict and a == b:
-        return True
+def _path_cells(heap: dict, a: int, b: int) -> Optional[list]:
+    """Sources of the minimal >= 1 step path from a to b in heap, or None.
+    They are distinct: a walk that repeats a cell never reaches b."""
+    cells = []
     cur = a
     for _ in range(len(heap)):
         nxt = heap.get(cur)
         if nxt is None:
-            return False
-        cur = nxt
-        if cur == b:
-            return True
-    return False
-
-
-def _ls(heap: dict, a: int, b: int) -> bool:
-    n = len(heap)
-    if n == 0:
-        return a == b
-    cur = a
-    seen = set()
-    for _ in range(n):
-        if cur in seen or cur not in heap:
-            return False
-        seen.add(cur)
-        cur = heap[cur]
-    return cur == b and cur not in seen
-
-
-def _path_cells(heap: dict, a: int, b: int) -> Optional[Tuple[int, ...]]:
-    """Sources of the minimal >= 1 step path from a to b in heap, or None."""
-    cells = []
-    cur = a
-    for _ in range(len(heap)):
-        if cur not in heap:
             return None
         cells.append(cur)
-        cur = heap[cur]
-        if cur == b:
-            return tuple(cells)
+        if nxt == b:
+            return cells
+        cur = nxt
     return None
 
 
@@ -403,23 +377,6 @@ class _Evaluator:
         # evaluator sees list their variables in one order
         self.footprints: Dict[tuple, tuple] = {}
 
-    def _split(self, store, heap, f: S.Star, musts: bool):
-        """(lower, upper, must_l, must_r): the left part's size range and the
-        cells each side must take (a side lacking one is false) when heap
-        splits for f; None when none can do.  musts False reads sizes only."""
-        key = (f, *store.values())
-        sides = self.footprints.get(key)
-        if sides is None:
-            sides = self.footprints[key] = (_footprint(f.left, store), _footprint(f.right, store))
-        (lo_l, hi_l, must_l), (lo_r, hi_r, must_r) = sides
-        n = len(heap)
-        if not musts:
-            must_l = must_r = _NONE
-        lower, upper = max(lo_l, n - hi_r), min(hi_l, n - lo_r)
-        if lower > upper or must_l & must_r or any(l not in heap for l in must_l | must_r):
-            return None
-        return lower, upper, must_l, must_r
-
     # fast path: wand-free, plain booleans -----------------------------------
     def ev(self, store: dict, heap: dict, f: S.Formula) -> bool:
         t = type(f)  # the node classes are final: dispatch by identity
@@ -428,13 +385,13 @@ class _Evaluator:
         if t is S.Not:
             return not self.ev(store, heap, f.child)
         if t is S.Star:
-            return self._star_blocks(store, heap, f)
+            return self._star(store, heap, f)[0]
         if t is S.Eq:
             return store[f.x] == store[f.y]
         if t is S.PointsTo:
             return heap.get(store[f.x]) == store[f.y]
         if t is S.ReachPlus:
-            return _reach(heap, store[f.x], store[f.y], strict=True)
+            return _path_cells(heap, store[f.x], store[f.y]) is not None
         if t is S.Emp:
             return not heap
         if t is S.Truth:
@@ -442,50 +399,80 @@ class _Evaluator:
         if t is S.Falsum:
             return False
         if t is S.Ls:
-            return _ls(heap, store[f.x], store[f.y])
+            a, b = store[f.x], store[f.y]
+            if a == b:
+                return not heap
+            cells = _path_cells(heap, a, b)
+            return cells is not None and len(cells) == len(heap)
         if t is S.Reach:
-            return _reach(heap, store[f.x], store[f.y], strict=False)
+            a, b = store[f.x], store[f.y]
+            return a == b or _path_cells(heap, a, b) is not None
         raise WandForbiddenError("separating implication outside bounded mode")
 
-    def _star_blocks(self, store: dict, heap: dict, f: S.Star) -> bool:
-        # each must cell fixes its block (the singleton holding the only
-        # cell tagged ("c", l)) to count 1 on the left, 0 on the right
-        split = self._split(store, heap, f, True)
-        if split is None:
-            return False
-        lower, upper, must_l, must_r = split
-        vals = sorted({store[v] for v in f.vars})
-        tags: Dict[int, list] = {}
-        for l in vals:
-            if l in heap:
-                tags.setdefault(l, []).append(("c", l))
-        for a in vals:
-            for b in vals:
-                cells = _path_cells(heap, a, b)
-                if cells:
-                    for c in cells:
-                        tags.setdefault(c, []).append(("p", a, b))
-        groups: Dict[frozenset, list] = {}
-        for c in heap:
-            groups.setdefault(frozenset(tags.get(c, ())), []).append(c)
-        blocks = [sorted(cells) for _, cells in sorted(groups.items(), key=lambda kv: min(kv[1]))]
+    # general path: (truth, exact), and every * ------------------------------
+    def _star(self, store: dict, heap: dict, f: S.Star) -> Tuple[bool, bool]:
+        """(truth, exact) of f over the splits of heap whose sides' sizes
+        fit their footprints and whose sides hold their must cells.  With
+        alloc scanned (-* in a side, cell bound 0) alloc(x) holds without
+        s(x), so no side must take a cell.  A must cell is a singleton
+        block, fixed to count 1 on the left or 0 on the right."""
+        key = (f, *store.values())
+        sides = self.footprints.get(key)
+        if sides is None:
+            sides = self.footprints[key] = (_footprint(f.left, store), _footprint(f.right, store))
+        (lo_l, hi_l, must_l), (lo_r, hi_r, must_r) = sides
+        if not (f.wand_free or self.policy.cell_bound >= 1):
+            must_l = must_r = _NONE
+        n = len(heap)
+        lower, upper = max(lo_l, n - hi_r), min(hi_l, n - lo_r)
+        if lower > upper or must_l & must_r or any(l not in heap for l in must_l | must_r):
+            return (False, True)
+        # cells on the same variable cells and minimal variable-to-variable
+        # paths move together; with -* in a side each cell moves alone
+        if f.wand_free:
+            vals = sorted({store[v] for v in f.vars})
+            tags: Dict[int, list] = {}
+            for l in vals:
+                if l in heap:
+                    tags.setdefault(l, []).append(("c", l))
+            for a in vals:
+                for b in vals:
+                    cells = _path_cells(heap, a, b)
+                    if cells:
+                        for c in cells:
+                            tags.setdefault(c, []).append(("p", a, b))
+            groups: Dict[frozenset, list] = {}
+            for c in heap:
+                groups.setdefault(frozenset(tags.get(c, ())), []).append(c)
+            blocks = [sorted(cells) for _, cells in sorted(groups.items(), key=lambda kv: min(kv[1]))]
+        else:
+            blocks = [[c] for c in sorted(heap)]
         counts = [
             (1,) if blk[0] in must_l else (0,) if blk[0] in must_r else range(len(blk) + 1)
             for blk in blocks
         ]
+        inexact_true, refutation_exact = False, True
 
         def rec(idx: int, chosen: list, total: int, slack: int) -> bool:
+            """Whether a split from here holds exactly; notes the others."""
+            nonlocal inexact_true, refutation_exact
             if idx == len(blocks):
-                if not (lower <= total <= upper):
-                    return False
                 sub = {}
                 for blk, cnt in zip(blocks, chosen):
                     for c in blk[:cnt]:
                         sub[c] = heap[c]
-                if not self.ev(store, sub, f.left):
+                va, ea = self.evx(store, sub, f.left)
+                if not va and ea:
                     return False
                 rest = {c: t for c, t in heap.items() if c not in sub}
-                return self.ev(store, rest, f.right)
+                vb, eb = self.evx(store, rest, f.right)
+                if va and vb:
+                    if ea and eb:
+                        return True
+                    inexact_true = True
+                elif vb or not eb:
+                    refutation_exact = False
+                return False
             rest_slack = slack - counts[idx][-1]
             for cnt in counts[idx]:
                 if total + cnt > upper:
@@ -499,9 +486,10 @@ class _Evaluator:
                 chosen.pop()
             return False
 
-        return rec(0, [], 0, sum(c[-1] for c in counts))
+        if rec(0, [], 0, sum(c[-1] for c in counts)):
+            return (True, True)
+        return (True, False) if inexact_true else (False, refutation_exact)
 
-    # general path: (truth, exact) -------------------------------------------
     def _shortcut(self, store: dict, heap: dict, f: S.Formula):
         spec = S.special_form(f)
         if spec is None:
@@ -531,12 +519,12 @@ class _Evaluator:
         return mid in heap and heap[mid] == heap[b]
 
     def evx(self, store: dict, heap: dict, f: S.Formula) -> Tuple[bool, bool]:
-        if self.policy.macro_shortcuts and not f.wand_free:
+        if f.wand_free:
+            return (self.ev(store, heap, f), True)
+        if self.policy.macro_shortcuts:
             v = self._shortcut(store, heap, f)
             if v is not None:
                 return (v, True)
-        if f.wand_free:
-            return (self.ev(store, heap, f), True)
         if isinstance(f, S.Not):
             v, e = self.evx(store, heap, f.child)
             return (not v, e)
@@ -545,7 +533,7 @@ class _Evaluator:
             swap = f.right.wand_free and not f.left.wand_free
             return self._all(store, heap, (f.right, f.left) if swap else (f.left, f.right))
         if isinstance(f, S.Star):
-            return self._star_general(store, heap, f)
+            return self._star(store, heap, f)
         if isinstance(f, S.Wand):
             return self._wand(store, heap, f)
         raise TypeError(f"unknown node {f!r}")  # pragma: no cover
@@ -560,34 +548,6 @@ class _Evaluator:
                 return (False, True)
             truth, exact = truth and v, exact and v and e
         return (truth, exact)
-
-    def _star_general(self, store: dict, heap: dict, f: S.Star) -> Tuple[bool, bool]:
-        # with alloc scanned (cell bound 0) alloc(x) can hold without s(x)
-        split = self._split(store, heap, f, self.policy.cell_bound >= 1)
-        if split is None:
-            return (False, True)
-        lower, upper, must_l, must_r = split
-        cells = sorted(l for l in heap if l not in must_l and l not in must_r)
-        inexact_true = False
-        refutation_exact = True
-        for k in range(max(lower, len(must_l)), upper + 1):
-            for combo in combinations(cells, k - len(must_l)):
-                sub = {c: heap[c] for c in combo}
-                sub.update((c, heap[c]) for c in must_l)
-                rest = {c: t for c, t in heap.items() if c not in sub}
-                va, ea = self.evx(store, sub, f.left)
-                if not va and ea:
-                    continue
-                vb, eb = self.evx(store, rest, f.right)
-                if va and vb:
-                    if ea and eb:
-                        return (True, True)
-                    inexact_true = True
-                elif vb or not eb:
-                    refutation_exact = False
-        if inexact_true:
-            return (True, False)
-        return (False, refutation_exact)
 
     def _wand(self, store: dict, heap: dict, f: S.Wand) -> Tuple[bool, bool]:
         # alloc(x) = (x ~> x) -* false, decided as the scan below would: if
@@ -757,7 +717,7 @@ def check(m: MemoryState, f: S.Formula, policy: WandPolicy = WandPolicy()) -> Ch
     if policy.mode == "forbid" and not f.wand_free:
         raise WandForbiddenError("formula contains -* but policy forbids it")
     ev = _Evaluator(policy)
-    truth, exact = ev.evx(m.store, dict(m.heap.cells), f)
+    truth, exact = ev.evx(m.store, m.heap.cells, f)
     return CheckResult(truth, exact)
 
 

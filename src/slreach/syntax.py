@@ -296,7 +296,7 @@ _cached = lru_cache(maxsize=_MACRO_CACHE_SIZE, typed=True)
 
 
 def _nat(n, what="argument"):
-    if not (isinstance(n, int) and n >= 0):
+    if not (type(n) is int and n >= 0):
         raise ValueError(f"{what} must be a natural number, got {n!r}")
     return n
 

@@ -146,6 +146,8 @@ def test_usage_errors(capsys, tmp_path):
     [1, 2],
     {"q": 1, "store": {"x1": 0}, "heap": {"0": None}},
     {"q": 1, "store": {"x1": 0, "x01": 1}, "heap": {}},
+    {"q": True, "store": {"x1": 0}, "heap": {}},
+    {"q": 1, "store": {"x1": 0}, "heap": {"0": True}},
 ])
 def test_malformed_state_file_is_a_usage_error(tmp_path, capsys, state_file, data):
     path = str(tmp_path / "bad.json")

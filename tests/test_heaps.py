@@ -220,13 +220,17 @@ def test_state_validation():
         Heap({-1: 0})
     # the public constructors check every input; only heaps built inside the
     # package from cells of valid heaps skip the checks
-    for cells in ({0: -1}, {0.5: 1}, {0: "1"}, {None: 0}):
+    # bool is a subclass of int, but True is no location
+    for cells in ({0: -1}, {0.5: 1}, {0: "1"}, {None: 0}, {True: 0}, {0: False}):
         with pytest.raises(ValueError):
             Heap(cells)
         with pytest.raises(ValueError):
             MemoryState(1, {1: 0}, cells)
-    for value in (1.5, "0", None):
+    for value in (1.5, "0", None, True, False):
         with pytest.raises(ValueError):
             MemoryState(1, {1: value}, Heap())
+    for q in (True, False):
+        with pytest.raises(ValueError):
+            MemoryState(q, {1: 0}, Heap())
     with pytest.raises(OverlapError):
         Heap({0: 1, 2: 2}) + Heap({2: 0})

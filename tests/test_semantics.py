@@ -85,6 +85,12 @@ def test_check_exact_matches_naive_oracle():
             assert check_exact(m, f) == naive_check(m.store, dict(m.heap.cells), f), (
                 f, m,
             )
+    # the path atoms on every state of two variables over four locations:
+    # self-loops, cycles, equal variables and garbage cells
+    paths = [k(i, j) for k in (S.Ls, S.Reach, S.ReachPlus) for i in (1, 2) for j in (1, 2)]
+    for m in all_states(2, range(4), 4):
+        for f in paths:
+            assert check_exact(m, f) == naive_check(m.store, dict(m.heap.cells), f), (f, m)
 
 
 _ALLOCATING = (S.PointsTo, S.ReachPlus, S.Ls, S.Reach)
